@@ -9,7 +9,8 @@
 // failed fsync, a full disk) the store degrades to read-only instead of
 // lying: mutations answer "ERR degraded", reads keep serving, and
 // HEALTH / WALSTATS report the state (see docs/failure-model.md).
-// One command per line, space-separated:
+// One command per line; verbs are case-insensitive and any run of ASCII
+// whitespace separates arguments:
 //
 //	GET <key>            -> VALUE <v> | NOTFOUND
 //	SET <key> <value>    -> OK inserted|updated
@@ -30,10 +31,12 @@
 //	REPLICATE <seg> <off> -> binary WAL record stream from that position (see internal/repl)
 //	QUIT                 -> closes the connection
 //
-// Keys are decimal floats, values unsigned integers. The M* commands
-// are the pipelined batch forms: one protocol round-trip, one WAL
-// record (atomic on recovery), and (for sorted key lists) one amortized
-// tree descent per data node for the whole batch.
+// Keys are decimal or hexadecimal floats (non-finite ones are
+// rejected), values unsigned integers. SCAN prints each key with 17
+// significant digits (%.17g), so every float64 round-trips. The M*
+// commands are the pipelined batch forms: one protocol round-trip, one
+// WAL record (atomic on recovery), and (for sorted key lists) one
+// amortized tree descent per data node for the whole batch.
 //
 // Usage: alexkv [-addr host:port] [-load N] [-shards N] [-data-dir DIR]
 // [-fsync always|interval|never] [-fsync-interval D] [-checkpoint-every N]

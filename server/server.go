@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	alex "repro"
@@ -137,17 +138,32 @@ func New(idx Store) *Server {
 	return &Server{idx: idx, conns: make(map[net.Conn]struct{}), stop: make(chan struct{})}
 }
 
-// Serve accepts connections until the listener is closed; each
-// connection is handled on its own goroutine.
+// Serve accepts connections until the listener or the server is
+// closed; each connection is handled on its own goroutine. Running out
+// of file descriptors (EMFILE, ENFILE) or a connection aborted before
+// it was accepted (ECONNABORTED) does not stop it: it retries with a
+// backoff from 5ms doubling to 1s, as net/http does. Any other accept
+// error is returned.
 func (s *Server) Serve(ln net.Listener) error {
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return err
+			if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) && !errors.Is(err, syscall.ECONNABORTED) {
+				return err
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+				continue
+			case <-s.stop:
+				return nil
+			}
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -195,189 +211,221 @@ func (s *Server) Handle(rw io.ReadWriter) {
 	// 1 MiB lines: a pipelined MSET of tens of thousands of pairs is the
 	// workload the batch commands exist for.
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	w := bufio.NewWriter(rw)
-	defer w.Flush()
+	// Each hot reply reaches w in one Write. An empty bufio.Writer passes
+	// a Write larger than its buffer straight through, so even a reply
+	// past the 4 KiB default leaves in one write.
+	c := &conn{s: s, w: bufio.NewWriter(rw)}
+	defer c.w.Flush()
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		// The tokens alias the scanner's buffer, which is ours until the
+		// next Scan: the verb is upper-cased in place and nothing keeps
+		// a token past its command.
+		c.toks = appendFields(c.toks[:0], sc.Bytes())
+		if len(c.toks) == 0 {
 			continue
 		}
-		if fields := strings.Fields(line); strings.ToUpper(fields[0]) == "REPLICATE" {
+		verb, args := upperASCII(c.toks[0]), c.toks[1:]
+		if string(verb) == "REPLICATE" {
 			// REPLICATE takes over the connection as a binary record
 			// stream; it never returns to the command loop.
-			s.handleReplicate(rw, w, fields[1:])
-			w.Flush()
+			s.handleReplicate(rw, c.w, args)
+			c.w.Flush()
 			return
 		}
-		if quit := s.dispatch(w, line); quit {
+		if quit := c.dispatch(verb, args); quit {
 			break
 		}
-		if err := w.Flush(); err != nil {
+		if err := c.w.Flush(); err != nil {
 			return
 		}
+		c.release()
 	}
 	if err := sc.Err(); err != nil {
 		// Tell the client why the connection is going away (e.g. a
 		// command line beyond the buffer limit) instead of a bare reset,
 		// then drain a bounded amount of the already-sent input so the
 		// close doesn't RST the reply away before the client reads it.
-		fmt.Fprintf(w, "ERR %v\n", err)
-		if w.Flush() == nil {
+		fmt.Fprintf(c.w, "ERR %v\n", err)
+		if c.w.Flush() == nil {
 			io.Copy(io.Discard, io.LimitReader(rw, 1<<20))
 		}
 	}
 }
 
-// dispatch executes one command line; it reports whether the client quit.
-func (s *Server) dispatch(w *bufio.Writer, line string) bool {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	args := fields[1:]
+// conn is the command loop state of one connection. Its buffers are
+// reused from command to command, so GET, MGET and SCAN run without
+// allocating.
+type conn struct {
+	s     *Server
+	w     *bufio.Writer
+	toks  [][]byte // the current line's tokens
+	out   []byte   // the reply being built, sent with one Write
+	keys  []float64
+	vals  []uint64
+	found []bool
+}
+
+// release drops the buffers after a command that grew them past
+// maxKept elements (a 1 MiB line can carry half a million keys), so a
+// long-lived connection does not pin them.
+func (c *conn) release() {
+	const maxKept = 4096
+	if cap(c.toks) > maxKept || cap(c.keys) > maxKept || cap(c.vals) > maxKept ||
+		cap(c.found) > maxKept || cap(c.out) > 16*maxKept {
+		*c = conn{s: c.s, w: c.w}
+	}
+}
+
+// fail replies "ERR <prefix><err>".
+func (c *conn) fail(prefix string, err error) {
+	c.w.WriteString("ERR " + prefix + err.Error() + "\n")
+}
+
+// sendCount replies "OK <n>".
+func (c *conn) sendCount(n int) {
+	c.out = append(strconv.AppendInt(append(c.out[:0], "OK "...), int64(n), 10), '\n')
+	c.w.Write(c.out)
+}
+
+// dispatch executes one command; verb is upper case. It reports whether
+// the client quit.
+func (c *conn) dispatch(verb []byte, args [][]byte) bool {
+	s, w := c.s, c.w
 	if s.ReadOnly {
-		switch cmd {
+		switch string(verb) {
 		case "SET", "DEL", "MSET", "MDEL", "SAVE", "BGSAVE":
-			fmt.Fprintln(w, "ERR read-only replica: writes go to the primary")
+			w.WriteString("ERR read-only replica: writes go to the primary\n")
 			return false
 		}
 	}
-	switch cmd {
+	switch string(verb) {
 	case "SET", "DEL", "MSET", "MDEL":
 		// Degraded fast path: a poisoned store rejects every write with
 		// the cause; reads below keep serving. A degradation that lands
 		// mid-command instead surfaces through writeGuarded.
 		if dg, ok := s.idx.(Degrader); ok {
 			if err := dg.Degraded(); err != nil {
-				fmt.Fprintf(w, "ERR degraded: %v\n", err)
+				c.fail("degraded: ", err)
 				return false
 			}
 		}
 	}
-	switch cmd {
+	switch string(verb) {
 	case "GET":
 		key, err := wantKey(args, 1)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			c.fail("", err)
 			return false
 		}
-		if v, ok := s.idx.Get(key); ok {
-			fmt.Fprintf(w, "VALUE %d\n", v)
-		} else {
-			fmt.Fprintln(w, "NOTFOUND")
-		}
+		v, ok := s.idx.Get(key)
+		c.out = appendValue(c.out[:0], v, ok)
+		w.Write(c.out)
 	case "SET":
 		if len(args) != 2 {
-			fmt.Fprintln(w, "ERR usage: SET <key> <value>")
+			w.WriteString("ERR usage: SET <key> <value>\n")
 			return false
 		}
 		key, err := parseKey(args[0])
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			c.fail("", err)
 			return false
 		}
-		val, err := strconv.ParseUint(args[1], 10, 64)
+		val, err := strconv.ParseUint(string(args[1]), 10, 64)
 		if err != nil {
-			fmt.Fprintf(w, "ERR bad value: %v\n", err)
+			c.fail("bad value: ", err)
 			return false
 		}
 		writeGuarded(w, func() {
 			if s.idx.Insert(key, val) {
-				fmt.Fprintln(w, "OK inserted")
+				w.WriteString("OK inserted\n")
 			} else {
-				fmt.Fprintln(w, "OK updated")
+				w.WriteString("OK updated\n")
 			}
 		})
 	case "DEL":
 		key, err := wantKey(args, 1)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			c.fail("", err)
 			return false
 		}
 		writeGuarded(w, func() {
 			if s.idx.Delete(key) {
-				fmt.Fprintln(w, "OK")
+				w.WriteString("OK\n")
 			} else {
-				fmt.Fprintln(w, "NOTFOUND")
+				w.WriteString("NOTFOUND\n")
 			}
 		})
 	case "MGET":
-		sc := scratchPool.Get().(*batchScratch)
-		defer scratchPool.Put(sc)
-		keys, err := parseKeysInto(args, 1, sc.keys[:0])
-		sc.keys = keys
+		keys, err := parseKeys(c.keys[:0], args)
+		c.keys = keys
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			c.fail("", err)
 			return false
 		}
-		vals, found := sc.results(len(keys))
-		s.idx.GetBatchInto(keys, vals, found)
+		c.vals, c.found = resize(c.vals, len(keys)), resize(c.found, len(keys))
+		s.idx.GetBatchInto(keys, c.vals, c.found)
+		b := c.out[:0]
 		for i := range keys {
-			if found[i] {
-				fmt.Fprintf(w, "VALUE %d\n", vals[i])
-			} else {
-				fmt.Fprintln(w, "NOTFOUND")
-			}
+			b = appendValue(b, c.vals[i], c.found[i])
 		}
-		fmt.Fprintln(w, "END")
+		c.out = append(b, "END\n"...)
+		w.Write(c.out)
 	case "MSET":
 		if len(args) < 2 || len(args)%2 != 0 {
-			fmt.Fprintln(w, "ERR usage: MSET <key> <value> [<key> <value> ...]")
+			w.WriteString("ERR usage: MSET <key> <value> [<key> <value> ...]\n")
 			return false
 		}
-		keys := make([]float64, 0, len(args)/2)
-		vals := make([]uint64, 0, len(args)/2)
+		keys, vals := c.keys[:0], c.vals[:0]
 		for i := 0; i < len(args); i += 2 {
 			key, err := parseKey(args[i])
 			if err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
+				c.fail("", err)
 				return false
 			}
-			val, err := strconv.ParseUint(args[i+1], 10, 64)
+			val, err := strconv.ParseUint(string(args[i+1]), 10, 64)
 			if err != nil {
-				fmt.Fprintf(w, "ERR bad value: %v\n", err)
+				c.fail("bad value: ", err)
 				return false
 			}
 			keys = append(keys, key)
 			vals = append(vals, val)
 		}
-		writeGuarded(w, func() {
-			fmt.Fprintf(w, "OK %d\n", s.idx.InsertBatch(keys, vals))
-		})
+		c.keys, c.vals = keys, vals
+		writeGuarded(w, func() { c.sendCount(s.idx.InsertBatch(keys, vals)) })
 	case "MDEL":
-		keys, err := parseKeys(args, 1)
+		keys, err := parseKeys(c.keys[:0], args)
+		c.keys = keys
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			c.fail("", err)
 			return false
 		}
-		writeGuarded(w, func() {
-			fmt.Fprintf(w, "OK %d\n", s.idx.DeleteBatch(keys))
-		})
+		writeGuarded(w, func() { c.sendCount(s.idx.DeleteBatch(keys)) })
 	case "SCAN":
 		if len(args) != 2 {
-			fmt.Fprintln(w, "ERR usage: SCAN <start> <n>")
+			w.WriteString("ERR usage: SCAN <start> <n>\n")
 			return false
 		}
 		start, err := parseKey(args[0])
 		if err != nil {
-			fmt.Fprintf(w, "ERR bad start: %v\n", err)
+			c.fail("bad start: ", err)
 			return false
 		}
-		n, err := strconv.Atoi(args[1])
+		n, err := strconv.Atoi(string(args[1]))
 		if err != nil || n < 0 {
-			fmt.Fprintln(w, "ERR bad count")
+			w.WriteString("ERR bad count\n")
 			return false
 		}
 		const maxScan = 10000
-		if n > maxScan {
-			n = maxScan
+		c.keys, c.vals = s.idx.ScanNInto(start, min(n, maxScan), c.keys[:0], c.vals[:0])
+		b := c.out[:0]
+		for i, k := range c.keys {
+			// 17 significant digits, as %.17g: every float64 key
+			// round-trips exactly.
+			b = strconv.AppendFloat(append(b, "KEY "...), k, 'g', 17, 64)
+			b = append(strconv.AppendUint(append(b, ' '), c.vals[i], 10), '\n')
 		}
-		sc := scratchPool.Get().(*batchScratch)
-		defer scratchPool.Put(sc)
-		keys, vals := s.idx.ScanNInto(start, n, sc.keys[:0], sc.vals[:0])
-		sc.keys, sc.vals = keys, vals
-		for i := range keys {
-			fmt.Fprintf(w, "KEY %.17g %d\n", keys[i], vals[i])
-		}
-		fmt.Fprintln(w, "END")
+		c.out = append(b, "END\n"...)
+		w.Write(c.out)
 	case "LEN":
 		fmt.Fprintf(w, "LEN %d\n", s.idx.Len())
 	case "STATS":
@@ -484,7 +532,9 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		fmt.Fprintln(w, "BYE")
 		return true
 	default:
-		fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
+		// strings.ToUpper, not the ASCII fold, names the verb exactly
+		// as the reply always has.
+		fmt.Fprintf(w, "ERR unknown command %q\n", strings.ToUpper(string(verb)))
 	}
 	return false
 }
@@ -495,7 +545,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 // the live tail until the next group commit lands. The stream ends
 // only when the connection dies, the server closes, or the tailer hits
 // truncated/corrupt history (the follower reconnects and re-syncs).
-func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args []string) {
+func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args [][]byte) {
 	rep, ok := s.idx.(Replicator)
 	if !ok {
 		fmt.Fprintln(w, "ERR store does not replicate")
@@ -505,8 +555,8 @@ func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args []strin
 		fmt.Fprintln(w, "ERR usage: REPLICATE <segment> <offset>")
 		return
 	}
-	seg, err1 := strconv.ParseUint(args[0], 10, 64)
-	off, err2 := strconv.ParseInt(args[1], 10, 64)
+	seg, err1 := strconv.ParseUint(string(args[0]), 10, 64)
+	off, err2 := strconv.ParseInt(string(args[1]), 10, 64)
 	if err1 != nil || err2 != nil || off < 0 {
 		fmt.Fprintln(w, "ERR bad position")
 		return
@@ -619,7 +669,7 @@ func writeGuarded(w *bufio.Writer, fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok && errors.Is(e, alex.ErrDegraded) {
-				fmt.Fprintf(w, "ERR degraded: %v\n", e)
+				w.WriteString("ERR degraded: " + e.Error() + "\n")
 				return
 			}
 			panic(r)
@@ -635,17 +685,68 @@ func boolInt(b bool) int {
 	return 0
 }
 
-func wantKey(args []string, n int) (float64, error) {
+// asciiSpace marks the bytes that separate a command's arguments.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the asciiSpace-separated tokens of line to dst.
+// The tokens alias line.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
+		}
+		start := i
+		for i < len(line) && !asciiSpace[line[i]] {
+			i++
+		}
+		if i > start {
+			dst = append(dst, line[start:i])
+		}
+	}
+	return dst
+}
+
+// upperASCII upper-cases the ASCII letters of b in place and returns b,
+// so a verb matches its command name in any ASCII case.
+func upperASCII(b []byte) []byte {
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return b
+}
+
+// appendValue appends the reply line of one point lookup.
+func appendValue(b []byte, v uint64, ok bool) []byte {
+	if !ok {
+		return append(b, "NOTFOUND\n"...)
+	}
+	return append(strconv.AppendUint(append(b, "VALUE "...), v, 10), '\n')
+}
+
+// resize returns s with length n, reallocating only when it is too
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+var errArgCount = errors.New("wrong argument count")
+
+func wantKey(args [][]byte, n int) (float64, error) {
 	if len(args) != n {
-		return 0, errors.New("wrong argument count")
+		return 0, errArgCount
 	}
 	return parseKey(args[0])
 }
 
 // parseKey parses one key, rejecting the non-finite values the index
 // panics on ("NaN", "Inf" and friends parse as valid floats).
-func parseKey(arg string) (float64, error) {
-	k, err := strconv.ParseFloat(arg, 64)
+func parseKey(arg []byte) (float64, error) {
+	k, err := strconv.ParseFloat(string(arg), 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad key: %v", err)
 	}
@@ -655,19 +756,10 @@ func parseKey(arg string) (float64, error) {
 	return k, nil
 }
 
-// parseKeys parses at least min keys from args.
-func parseKeys(args []string, min int) ([]float64, error) {
-	if len(args) < min {
-		return nil, errors.New("wrong argument count")
-	}
-	return parseKeysInto(args, min, make([]float64, 0, len(args)))
-}
-
-// parseKeysInto is parseKeys appending into a caller-supplied slice, so
-// pooled command buffers can be reused across requests.
-func parseKeysInto(args []string, min int, keys []float64) ([]float64, error) {
-	if len(args) < min {
-		return keys, errors.New("wrong argument count")
+// parseKeys appends the keys parsed from args, at least one, to keys.
+func parseKeys(keys []float64, args [][]byte) ([]float64, error) {
+	if len(args) == 0 {
+		return keys, errArgCount
 	}
 	for _, a := range args {
 		k, err := parseKey(a)
@@ -678,27 +770,3 @@ func parseKeysInto(args []string, min int, keys []float64) ([]float64, error) {
 	}
 	return keys, nil
 }
-
-// batchScratch pools the per-command buffers of the MGET and SCAN
-// handlers: with the index's *Into read variants underneath, a batch
-// read served from a warm pool performs no per-request allocations in
-// the store at all.
-type batchScratch struct {
-	keys  []float64
-	vals  []uint64
-	found []bool
-}
-
-// results returns vals/found slices of length n, growing the backing
-// arrays only when a larger batch than ever before arrives.
-func (sc *batchScratch) results(n int) ([]uint64, []bool) {
-	if cap(sc.vals) < n {
-		sc.vals = make([]uint64, n)
-	}
-	if cap(sc.found) < n {
-		sc.found = make([]bool, n)
-	}
-	return sc.vals[:n], sc.found[:n]
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}

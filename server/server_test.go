@@ -2,10 +2,13 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	alex "repro"
@@ -525,5 +528,73 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	if replayed > 1 {
 		t.Fatalf("replayed %d records after clean shutdown, want <= 1 (marker only)", replayed)
+	}
+}
+
+// flakyListener fails its first Accept calls with errs, then accepts
+// from the real listener.
+type flakyListener struct {
+	net.Listener
+	errs []error
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if len(l.errs) > 0 {
+		err := l.errs[0]
+		l.errs = l.errs[1:]
+		return nil, err
+	}
+	return l.Listener.Accept()
+}
+
+// acceptErr wraps errno the way the net package reports a failed
+// accept(2).
+func acceptErr(errno error) error {
+	return &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", errno)}
+}
+
+// TestServeSurvivesAcceptErrors: running out of descriptors or a
+// connection aborted in the accept queue must not stop the server; the
+// next connection is served.
+func TestServeSurvivesAcceptErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(alex.NewSync())
+	fl := &flakyListener{Listener: ln, errs: []error{
+		acceptErr(syscall.EMFILE), acceptErr(syscall.ENFILE), acceptErr(syscall.ECONNABORTED),
+	}}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(fl) }()
+	cl := dial(t, ln.Addr().String())
+	if got := cl.roundTrip("LEN"); got != "LEN 0" {
+		t.Fatalf("LEN after accept errors = %q", got)
+	}
+	ln.Close()
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve = %v, want nil after Close", err)
+	}
+}
+
+// TestServeAcceptErrorExits: any other accept error ends Serve with
+// that error, and Close ends a Serve that is backing off.
+func TestServeAcceptErrorExits(t *testing.T) {
+	boom := errors.New("boom")
+	if err := New(alex.NewSync()).Serve(&flakyListener{errs: []error{boom}}); !errors.Is(err, boom) {
+		t.Fatalf("Serve = %v, want %v", err, boom)
+	}
+
+	srv := New(alex.NewSync())
+	fl := &flakyListener{errs: make([]error, 1000)}
+	for i := range fl.errs {
+		fl.errs[i] = acceptErr(syscall.EMFILE)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(fl) }()
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Close = %v, want nil", err)
 	}
 }
