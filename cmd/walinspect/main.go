@@ -9,23 +9,27 @@
 //
 // Output is one line per segment:
 //
-//	wal-0000000000000003.log  size=1048584  records=512  clean-end=1048584
-//	wal-0000000000000004.log  size=20487    records=9    clean-end=20432  TORN tail: 55 trailing bytes
+//	wal-0000000000000003.log  size=12808    records=512  clean-end=12808
+//	wal-0000000000000004.log  size=1048576  records=9    clean-end=233  unwritten tail: 1048343 bytes
+//	wal-0000000000000005.log  size=288      records=9    clean-end=233  TORN tail: 55 trailing bytes
 //
 // followed by the recovery watermark — the position replay stops at,
 // which is exactly the acknowledged prefix under the fsync=always
-// policy. Exit status is 0 when every segment is clean, 1 when any
-// segment holds a tear or corruption, 2 on usage or I/O errors.
+// policy. An unwritten tail is the all-zero space a live segment's
+// file is sized ahead of its records; a crash leaves it in place. It
+// holds no record and is not a tear. Exit status is 0 when every
+// segment is clean or ends in unwritten space, 1 when any segment
+// holds a tear or corruption, 2 on usage or I/O errors.
 //
-// -repair truncates a torn tail at the last valid record boundary, so
-// tools that insist on clean segments can run afterwards. Recovery
-// itself never needs this: a tear in a sealed segment ends only that
-// segment's replay, and later segments still hold valid acknowledged
-// records. For the same reason -repair REFUSES to touch a segment when
-// any later segment holds valid records — a mid-history tear with
-// intact history after it is not a crash tail, and truncating it would
-// destroy the evidence of whatever corrupted it. -v additionally
-// prints per-op record counts.
+// -repair truncates a torn or unwritten tail at the last valid record
+// boundary, so tools that insist on clean segments can run afterwards.
+// Recovery itself never needs this: a tear in a sealed segment ends
+// only that segment's replay, and later segments still hold valid
+// acknowledged records. For the same reason -repair REFUSES to touch a
+// torn segment when any later segment holds valid records — a
+// mid-history tear with intact history after it is not a crash tail,
+// and truncating it would destroy the evidence of whatever corrupted
+// it. -v additionally prints per-op record counts.
 package main
 
 import (
@@ -40,14 +44,15 @@ import (
 
 // segReport is one segment's scan result.
 type segReport struct {
-	seg      wal.Segment
-	size     int64
-	records  int
-	byOp     map[wal.Op]int
-	cleanEnd int64 // offset of the last valid record boundary
-	torn     bool  // trailing bytes past cleanEnd that never decode
-	badMagic bool
-	corrupt  error // non-nil when the tail is ErrCorrupt rather than short
+	seg       wal.Segment
+	size      int64
+	records   int
+	byOp      map[wal.Op]int
+	cleanEnd  int64 // offset of the last valid record boundary
+	torn      bool  // trailing bytes past cleanEnd that never decode
+	unwritten bool  // trailing bytes past cleanEnd, all zero
+	badMagic  bool
+	corrupt   error // non-nil when the tail is ErrCorrupt rather than short
 }
 
 var opNames = map[wal.Op]string{
@@ -130,6 +135,10 @@ func scanSegment(s wal.Segment) (*segReport, error) {
 	for off < int64(len(b)) {
 		rec, n, err := wal.DecodeFramed(b[off:])
 		if err != nil {
+			if allZero(b[off:]) {
+				r.unwritten = true
+				break
+			}
 			r.torn = true
 			if !errors.Is(err, wal.ErrShortFrame) {
 				r.corrupt = err
@@ -144,6 +153,15 @@ func scanSegment(s wal.Segment) (*segReport, error) {
 	return r, nil
 }
 
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func printReport(r *segReport, verbose bool) {
 	name := filepath.Base(r.seg.Path)
 	switch {
@@ -155,6 +173,9 @@ func printReport(r *segReport, verbose bool) {
 			name, r.size, r.records, r.cleanEnd, r.cleanEnd, r.corrupt)
 	case r.torn:
 		fmt.Printf("%s  size=%d  records=%d  clean-end=%d  TORN tail: %d trailing bytes\n",
+			name, r.size, r.records, r.cleanEnd, r.size-r.cleanEnd)
+	case r.unwritten:
+		fmt.Printf("%s  size=%d  records=%d  clean-end=%d  unwritten tail: %d bytes\n",
 			name, r.size, r.records, r.cleanEnd, r.size-r.cleanEnd)
 	default:
 		fmt.Printf("%s  size=%d  records=%d  clean-end=%d\n", name, r.size, r.records, r.cleanEnd)
@@ -168,16 +189,17 @@ func printReport(r *segReport, verbose bool) {
 	}
 }
 
-// repairAll truncates torn tails, newest-first, refusing to touch any
-// segment that has valid records after it in the log.
+// repairAll truncates torn and unwritten tails, refusing to touch a
+// torn segment that has valid records after it in the log. An unwritten
+// tail holds no record, so trimming it is safe wherever it sits.
 func repairAll(reports []*segReport) error {
 	repaired := 0
 	for i, r := range reports {
-		if !r.torn && !r.badMagic {
+		if !r.torn && !r.badMagic && !r.unwritten {
 			continue
 		}
 		for _, later := range reports[i+1:] {
-			if later.records > 0 {
+			if later.records > 0 && !r.unwritten {
 				return fmt.Errorf("refusing to repair %s: later segment %s holds %d valid records (mid-history tear, not a crash tail)",
 					filepath.Base(r.seg.Path), filepath.Base(later.seg.Path), later.records)
 			}

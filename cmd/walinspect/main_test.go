@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
 
@@ -122,5 +123,115 @@ func TestFaultWalinspectRepairRefusesMidHistoryTear(t *testing.T) {
 	r0, _ := scanSegment(segs[0])
 	if !r0.torn {
 		t.Fatal("refused repair still modified the segment")
+	}
+}
+
+// crashedWALDir leaves the state a crash of a running writer leaves: a
+// live segment whose file is sized past its last record, followed by
+// the segment a restarted process appended to and sealed.
+func crashedWALDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	inj := faultfs.New(faultfs.OS)
+	l, err := wal.OpenLogFS(inj, dir, wal.SyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if err := l.Append(&wal.Record{Op: wal.OpInsert, Keys: []float64{float64(i)}, Payloads: []uint64{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.CrashNow()
+	//alexvet:ignore the storage has crashed; the files on disk are what this test inspects
+	_ = l.Close()
+
+	l, err = wal.OpenLog(dir, wal.SyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(&wal.Record{Op: wal.OpDelete, Keys: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func scanAll(t *testing.T, dir string) []*segReport {
+	t.Helper()
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []*segReport
+	for _, s := range segs {
+		r, err := scanSegment(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+	}
+	return reports
+}
+
+// TestFaultWalinspectUnwrittenTail: the all-zero space past a crashed
+// segment's last record is reported as unwritten, not torn, and
+// -repair trims it even though a later segment holds records.
+func TestFaultWalinspectUnwrittenTail(t *testing.T) {
+	dir := crashedWALDir(t)
+	reports := scanAll(t, dir)
+	if len(reports) != 2 {
+		t.Fatalf("%d segments, want 2", len(reports))
+	}
+	r := reports[0]
+	if r.torn || r.corrupt != nil || !r.unwritten || r.records != 7 || r.size <= r.cleanEnd {
+		t.Fatalf("crashed segment scan: torn=%v corrupt=%v unwritten=%v records=%d cleanEnd=%d size=%d",
+			r.torn, r.corrupt, r.unwritten, r.records, r.cleanEnd, r.size)
+	}
+	if reports[1].torn || reports[1].unwritten || reports[1].records != 1 {
+		t.Fatalf("sealed segment scan: torn=%v unwritten=%v records=%d", reports[1].torn, reports[1].unwritten, reports[1].records)
+	}
+
+	if err := repairAll(reports); err != nil {
+		t.Fatal(err)
+	}
+	after := scanAll(t, dir)
+	if after[0].unwritten || after[0].torn || after[0].size != r.cleanEnd || after[0].records != 7 {
+		t.Fatalf("post-repair scan: unwritten=%v torn=%v size=%d records=%d, want a clean %d-byte segment",
+			after[0].unwritten, after[0].torn, after[0].size, after[0].records, r.cleanEnd)
+	}
+}
+
+// TestFaultWalinspectNonzeroPastTailIsTorn: one nonzero byte anywhere
+// past the last valid record makes the tail a tear, not unwritten
+// space, and -repair refuses it when a later segment holds records.
+func TestFaultWalinspectNonzeroPastTailIsTorn(t *testing.T) {
+	dir := crashedWALDir(t)
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scanSegment(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segs[0].Path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{1}, r.cleanEnd+4096); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reports := scanAll(t, dir)
+	if !reports[0].torn || reports[0].unwritten || reports[0].cleanEnd != r.cleanEnd {
+		t.Fatalf("scan: torn=%v unwritten=%v cleanEnd=%d, want a tear at %d",
+			reports[0].torn, reports[0].unwritten, reports[0].cleanEnd, r.cleanEnd)
+	}
+	if err := repairAll(reports); err == nil || !strings.Contains(err.Error(), "refusing") {
+		t.Fatalf("repairAll = %v, want a refusal", err)
 	}
 }

@@ -671,9 +671,12 @@ type WALStats struct {
 	Checkpoints uint64
 	Replayed    int
 	// TornTail reports that the last recovery hit an invalid record.
-	// After a crash this is the expected torn tail of a segment (replay
-	// resumes with the next segment, if any); if it ever appears after
-	// a clean shutdown it indicates on-disk corruption.
+	// Every crash now reports one: the live segment's file is sized
+	// ahead of its last record, so even a crash that lost nothing
+	// leaves a zero tail, which reads as torn (replay resumes with the
+	// next segment, if any). After a clean shutdown every segment is
+	// sealed and trimmed, so a torn tail then indicates on-disk
+	// corruption.
 	TornTail bool
 	// Followers is the number of replication followers currently
 	// streaming this index's WAL; MaxFollowerLagBytes is the worst

@@ -393,6 +393,78 @@ func TestFaultDiskSnapshotFsyncFailure(t *testing.T) {
 	reopenAndVerify(t, dir, res)
 }
 
+// TestFaultDiskSegmentCreateRetry: a step after the next segment's
+// create fails — the disk fills on its magic write, or the extension of
+// its size fails. The checkpoint reports the error, nothing degrades,
+// the half-born file is removed, and the retried checkpoint succeeds
+// instead of tripping over it with "file exists".
+func TestFaultDiskSegmentCreateRetry(t *testing.T) {
+	for _, kind := range []faultfs.OpKind{faultfs.OpWrite, faultfs.OpTruncate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tortureSeed(t)))
+			rounds := 20 + rng.Intn(100)
+			t.Logf("schedule: fail the first %v on segment 2 with ENOSPC, %d writes", kind, rounds)
+
+			dir := t.TempDir()
+			inj := faultfs.New(faultfs.OS)
+			inj.FailNth(kind, "wal-0000000000000002", 1, syscall.ENOSPC)
+
+			d := openTorture(t, dir, inj)
+			res := runFaultWorkload(d, rounds)
+			if res.firstErr != nil {
+				t.Fatalf("workload failed before the checkpoint: %v", res.firstErr)
+			}
+			if err := d.Checkpoint(); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("checkpoint = %v, want the injected ENOSPC", err)
+			}
+			if d.Degraded() != nil {
+				t.Fatalf("failed segment create degraded the index: %v", d.Degraded())
+			}
+			if _, err := d.TryInsert(-42, 1); err != nil {
+				t.Fatalf("write after failed checkpoint: %v", err)
+			}
+			res.acked[-42] = 1
+			for i := 0; i < 2; i++ {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatalf("checkpoint retry %d: %v", i+1, err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopenAndVerify(t, dir, res)
+		})
+	}
+}
+
+// TestFaultDiskSegmentTrimFailure: trimming the rotated-out segment to
+// its last record fails at seal. That is a seal failure like any other:
+// the checkpoint degrades the index, and no acked write is lost — the
+// untrimmed zero tail replays as a torn tail.
+func TestFaultDiskSegmentTrimFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(tortureSeed(t)))
+	rounds := 20 + rng.Intn(100)
+	t.Logf("schedule: fail the trim of segment 1 at seal, %d writes", rounds)
+
+	dir := t.TempDir()
+	inj := faultfs.New(faultfs.OS)
+	// Truncate #1 on segment 1 is its extension at create; #2 is the trim.
+	inj.FailNth(faultfs.OpTruncate, "wal-0000000000000001", 2, fmt.Errorf("scripted trim failure"))
+
+	d := openTorture(t, dir, inj)
+	res := runFaultWorkload(d, rounds)
+	if res.firstErr != nil {
+		t.Fatalf("workload failed before the checkpoint: %v", res.firstErr)
+	}
+	res.firstErr = d.Checkpoint()
+	if !errors.Is(res.firstErr, wal.ErrSealFailed) {
+		t.Fatalf("checkpoint = %v, want ErrSealFailed", res.firstErr)
+	}
+	assertDegraded(t, d, res)
+	d.Close()
+	reopenAndVerify(t, dir, res)
+}
+
 // TestDegradedPanicAPIAndRecovery: the bool mutation API panics with an
 // error wrapping ErrDegraded (the server recovers it into a protocol
 // error), Flush refuses, and a restart fully clears the state.

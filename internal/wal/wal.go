@@ -19,6 +19,15 @@
 // invalid record — after a crash the tail of the last segment may be
 // torn mid-record, and everything before the tear is still recovered.
 //
+// A live segment's file size is not the log's end. The Writer keeps
+// the size a step (1 MiB) ahead of the last record with a sparse
+// extension, so a commit's fsync does not also journal a size change;
+// the bytes past the last record read as zeros. A crash therefore
+// leaves a zero tail, which the Reader treats like any torn tail (a
+// zero length prefix is invalid). Sealing a segment — rotation or
+// close — trims it to the end of its last record, so a sealed
+// segment's size is its log's end.
+//
 // The Writer implements group commit: concurrent appenders under the
 // SyncAlways policy coalesce into a single fsync per flush window, so
 // the measured fsyncs per operation drop well below one as concurrency

@@ -259,8 +259,10 @@ func TestWALLogRotateAndRemove(t *testing.T) {
 	if err != nil || len(segs) != 2 {
 		t.Fatalf("segments = %v, err %v; want 2", segs, err)
 	}
-	// Replay across both segments sees both records.
-	if err := l.Sync(); err != nil {
+	// Replay across both segments, once sealed, sees both records.
+	// Recovery never reads a segment whose writer is still open: a live
+	// segment's file runs past its last record.
+	if err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	n, torn, err := ReplaySegments(segs, func(*Record) error { return nil })
@@ -274,11 +276,18 @@ func TestWALLogRotateAndRemove(t *testing.T) {
 	if len(segs) != 1 || segs[0].Seq != l.CurrentSeq() {
 		t.Fatalf("after remove: %v, cur %d", segs, l.CurrentSeq())
 	}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(rec); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v", err)
+	}
+	n, torn, err = ReplaySegments(segs, func(*Record) error { return nil })
+	if err != nil || torn || n != 1 {
+		t.Fatalf("replay after close: n=%d torn=%v err=%v", n, torn, err)
 	}
 }
 

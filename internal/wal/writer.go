@@ -49,6 +49,12 @@ func (c *counters) snapshot() Stats {
 	return Stats{Appends: c.appends.Load(), Syncs: c.syncs.Load(), Bytes: c.bytes.Load()}
 }
 
+// sizeStep is how far a live segment's file size runs ahead of its write
+// offset. The size is set with a sparse Truncate, so a commit's fsync
+// only flushes data: it journals a file-size change once per step, not
+// once per group commit.
+const sizeStep = 1 << 20
+
 // Writer appends records to one segment file. It is safe for
 // concurrent use; under SyncAlways, concurrent Appends coalesce into
 // shared fsyncs (group commit).
@@ -65,6 +71,7 @@ type Writer struct {
 	seq     uint64 // records appended
 	synced  uint64 // records known durable
 	written int64  // file offset past the last appended record (buffered or not)
+	size    int64  // file size set ahead of written; trimmed back to written at seal
 	syncing bool   // a leader is mid-fsync
 	err     error  // sticky I/O error
 	closed  bool
@@ -91,14 +98,22 @@ func NewWriter(path string, policy Policy, interval time.Duration, stats *counte
 }
 
 // NewWriterFS is NewWriter on an explicit filesystem — the seam fault
-// injection enters through.
+// injection enters through. When a step after the create fails, the
+// file is removed again, so a retry at the same path does not trip
+// O_EXCL.
 func NewWriterFS(fsys faultfs.FS, path string, policy Policy, interval time.Duration, stats *counters, notify func()) (*Writer, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(Magic)); err != nil {
+	_, err = f.Write([]byte(Magic))
+	if err == nil {
+		err = f.Truncate(sizeStep)
+	}
+	if err != nil {
 		f.Close()
+		//alexvet:ignore best-effort backout so a retry can recreate the segment; the create-step error below is the reported failure
+		_ = fsys.Remove(path)
 		return nil, err
 	}
 	if stats == nil {
@@ -112,6 +127,7 @@ func NewWriterFS(fsys faultfs.FS, path string, policy Policy, interval time.Dura
 		f:        f,
 		buf:      bufio.NewWriterSize(f, 1<<16),
 		written:  int64(len(Magic)),
+		size:     sizeStep,
 	}
 	w.visible.Store(int64(len(Magic)))
 	w.cond = sync.NewCond(&w.mu)
@@ -140,6 +156,17 @@ func (w *Writer) Append(rec *Record) error {
 	}
 	if w.closed {
 		return ErrClosed
+	}
+	// Extend before the record is buffered: bufio may flush any part of
+	// it, and a write past the current size would change the size itself.
+	if end := w.written + int64(len(enc)); end > w.size {
+		size := end - end%sizeStep + sizeStep
+		if err := w.f.Truncate(size); err != nil {
+			w.err = fmt.Errorf("wal: extend segment: %w", err)
+			w.cond.Broadcast()
+			return w.err
+		}
+		w.size = size
 	}
 	if _, err := w.buf.Write(enc); err != nil {
 		w.err = err
@@ -237,8 +264,9 @@ func (w *Writer) syncLoop() {
 	}
 }
 
-// Close makes all appended records durable and closes the file. Further
-// appends return ErrClosed.
+// Close makes all appended records durable, trims the file to the end
+// of the last record, and closes it: a sealed segment's size is its
+// log's end. Further appends return ErrClosed.
 func (w *Writer) Close() error {
 	if w.stop != nil {
 		close(w.stop)
@@ -252,6 +280,18 @@ func (w *Writer) Close() error {
 	var err error
 	if w.err == nil && w.synced < w.seq {
 		err = w.syncToLocked(w.seq)
+	}
+	if w.err == nil {
+		err = w.f.Truncate(w.written)
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			err = fmt.Errorf("wal: trim segment: %w", err)
+			w.err = err
+		} else {
+			w.stats.syncs.Add(1)
+		}
 	}
 	w.closed = true
 	if cerr := w.f.Close(); err == nil && cerr != nil {

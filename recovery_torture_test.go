@@ -55,6 +55,7 @@ func startAlexkv(t *testing.T, bin, dataDir string, extra ...string) (*exec.Cmd,
 func startAlexkvArgs(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
+	dieWithParent(cmd)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -371,9 +372,12 @@ func replPosition(kv *kvConn) (seg uint64, off int64, err error) {
 	}
 }
 
-// dumpKV returns the full contents of a node as protocol lines.
+// dumpKV returns the full contents of a node as protocol lines. The
+// server caps a SCAN at scanPage rows, so it pages: each page starts at
+// the previous page's last key, which SCAN repeats as its first row.
 func dumpKV(t *testing.T, kv *kvConn) []string {
 	t.Helper()
+	const scanPage = 10000
 	resp, err := kv.roundTrip("LEN")
 	if err != nil {
 		t.Fatal(err)
@@ -382,21 +386,34 @@ func dumpKV(t *testing.T, kv *kvConn) []string {
 	if _, err := fmt.Sscanf(resp, "LEN %d", &n); err != nil {
 		t.Fatalf("LEN reply %q: %v", resp, err)
 	}
-	kv.c.SetDeadline(time.Now().Add(60 * time.Second))
-	if _, err := fmt.Fprintf(kv.c, "SCAN -1e18 %d\n", n+10); err != nil {
-		t.Fatal(err)
-	}
 	var lines []string
+	start := "-1e18"
 	for {
-		line, err := kv.br.ReadString('\n')
-		if err != nil {
+		kv.c.SetDeadline(time.Now().Add(60 * time.Second))
+		if _, err := fmt.Fprintf(kv.c, "SCAN %s %d\n", start, scanPage); err != nil {
 			t.Fatal(err)
 		}
-		line = strings.TrimRight(line, "\n")
-		if line == "END" {
+		var page []string
+		for {
+			line, err := kv.br.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			line = strings.TrimRight(line, "\n")
+			if line == "END" {
+				break
+			}
+			page = append(page, line)
+		}
+		full := len(page) == scanPage
+		if len(lines) > 0 && len(page) > 0 {
+			page = page[1:]
+		}
+		lines = append(lines, page...)
+		if !full {
 			break
 		}
-		lines = append(lines, line)
+		start = strings.Fields(lines[len(lines)-1])[1]
 	}
 	if len(lines) != n {
 		t.Fatalf("SCAN returned %d lines, LEN said %d", len(lines), n)
