@@ -15,21 +15,23 @@
 //		return k < hi
 //	})
 //
-// The public API is batch-first: multi-key variants of every point
-// operation amortize the per-key costs across a batch. A sorted batch
-// is grouped by destination data node, so it pays one RMI descent per
-// leaf instead of per key, and each node makes at most one
-// expand/retrain/split decision per batch:
+// The public API is batch-first: every point operation has a multi-key
+// variant. A sorted write batch is grouped by destination data node, so
+// it pays one RMI descent per leaf instead of per key, and each node
+// makes at most one expand/retrain/split decision per batch. A batch
+// read amortizes nothing, so it needs no sorting: it resolves its keys
+// in small groups, in lockstep, so that the cache misses of independent
+// lookups overlap instead of queueing:
 //
-//	vals, found := idx.GetBatch(keys)            // amortized lookups
+//	vals, found := idx.GetBatch(keys)            // overlapped lookups
 //	idx.InsertBatch(keys, payloads)              // amortized inserts
 //	idx.DeleteBatch(keys)                        // amortized deletes
 //	idx.Merge(keys, payloads)                    // bulk-load-speed merge
 //
-// Unsorted batches remain correct (they fall back to per-key
+// Unsorted write batches remain correct (they fall back to per-key
 // application; Merge sorts first), but sorted input is what unlocks the
-// amortization. Batch results are always identical in content to the
-// equivalent loop of single-key calls.
+// write amortization. Batch results are always identical in content to
+// the equivalent loop of single-key calls.
 //
 // The four variants the paper evaluates are expressed through options:
 // the data node layout (gapped array vs packed memory array), the model
@@ -235,18 +237,18 @@ func (ix *Index) Delete(key float64) bool { return ix.t.Delete(key) }
 func (ix *Index) Update(key float64, payload uint64) bool { return ix.t.Update(key, payload) }
 
 // GetBatch looks up many keys at once. It returns parallel slices:
-// payloads[i] and found[i] describe keys[i]. A non-decreasing batch
-// shares one tree descent per data node and amortizes the in-node
-// searches; unsorted batches fall back to per-key lookups.
+// payloads[i] and found[i] describe keys[i]. Keys may come in any
+// order: they are resolved in small lockstep groups — every key's
+// descent, then every key's in-leaf search, then every payload — so
+// their cache misses overlap.
 func (ix *Index) GetBatch(keys []float64) (payloads []uint64, found []bool) {
 	return ix.t.GetBatch(keys)
 }
 
 // GetBatchInto is GetBatch into caller-supplied result slices:
 // payloads and found must have len(keys) elements and every slot is
-// overwritten. It is the zero-allocation form — the batch is resolved
-// by streaming the sorted keys leaf by leaf, with no intermediate
-// grouping structures.
+// overwritten. It is the zero-allocation form: the lockstep groups live
+// on the stack.
 func (ix *Index) GetBatchInto(keys []float64, payloads []uint64, found []bool) {
 	ix.t.GetBatchInto(keys, payloads, found)
 }

@@ -1,7 +1,10 @@
 package alex_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -40,11 +43,21 @@ func assertSameContents(t *testing.T, name string, got, want *alex.Index) {
 
 // TestBatchEqualsLoop verifies the acceptance property directly: batch
 // results are identical to looped single-op results, on random,
-// sorted, duplicate-carrying, and empty batches.
+// sorted, descending, duplicate-carrying, and empty batches; on batch
+// lengths around the lookup group size; on keys at leaf seams, beyond
+// both ends of the key space, and at signed zero and the smallest
+// denormal; and over a full, an empty, and a one-key index. GetBatch
+// is checked before the inserts (a mix of hits and misses) and after.
 func TestBatchEqualsLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := datasets.GenLongitudes(20000, 1)
 	fresh := datasets.GenLongitudes(30000, 2)[20000:]
+	sorted := datasets.Sorted(append([]float64(nil), base...))
+	// Half stored keys, half new ones, in random order.
+	mixed := make([]float64, 0, 200)
+	for i := 0; i < 100; i++ {
+		mixed = append(mixed, base[1000+i], fresh[9000+i])
+	}
 
 	cases := map[string][]float64{
 		"empty":  {},
@@ -55,59 +68,90 @@ func TestBatchEqualsLoop(t *testing.T) {
 			ks = append(ks, ks[:250]...) // intra-batch duplicates
 			return ks
 		}(),
+		"descending": func() []float64 {
+			ks := datasets.Sorted(append([]float64(nil), mixed...))
+			slices.Reverse(ks)
+			return append(ks, ks[:20]...) // and duplicates
+		}(),
+		// The midpoint of every adjacent stored pair: each leaf seam
+		// has one, falling between the two leaves' ranges.
+		"between": func() []float64 {
+			ks := make([]float64, len(sorted)-1)
+			for i := range ks {
+				ks[i] = sorted[i] + (sorted[i+1]-sorted[i])/2
+			}
+			return ks
+		}(),
+		"ends": {
+			-math.MaxFloat64, sorted[0] - 1, math.Nextafter(sorted[0], math.Inf(-1)),
+			math.Nextafter(sorted[len(sorted)-1], math.Inf(1)), sorted[len(sorted)-1] + 1, math.MaxFloat64,
+		},
+		"zeros": {-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64},
 	}
+	for _, n := range []int{1, 31, 32, 33, 64, 65} {
+		cases[fmt.Sprintf("len%d", n)] = mixed[:n]
+	}
+	bases := map[string][]float64{"full": base, "emptyindex": nil, "onekey": base[:1]}
 
 	for _, opts := range batchOptionSets() {
-		for name, batch := range cases {
-			pays := make([]uint64, len(batch))
-			for i := range pays {
-				pays[i] = uint64(rng.Intn(1 << 30))
-			}
-			batchIdx, err := alex.Load(base, nil, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loopIdx, err := alex.Load(base, nil, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			gotN := batchIdx.InsertBatch(batch, pays)
-			wantN := 0
-			for i := range batch {
-				if loopIdx.Insert(batch[i], pays[i]) {
-					wantN++
+		for bname, keys := range bases {
+			for cname, batch := range cases {
+				name := bname + "/" + cname
+				pays := make([]uint64, len(batch))
+				for i := range pays {
+					pays[i] = uint64(rng.Intn(1 << 30))
 				}
-			}
-			if gotN != wantN {
-				t.Fatalf("%s: InsertBatch = %d, loop = %d", name, gotN, wantN)
-			}
-			assertSameContents(t, name+"/insert", batchIdx, loopIdx)
-
-			probe := append(append([]float64(nil), batch...), -1, -2, 1e300)
-			vals, found := batchIdx.GetBatch(probe)
-			if len(vals) != len(probe) || len(found) != len(probe) {
-				t.Fatalf("%s: GetBatch result lengths %d/%d", name, len(vals), len(found))
-			}
-			for i, k := range probe {
-				wv, wok := loopIdx.Get(k)
-				if vals[i] != wv || found[i] != wok {
-					t.Fatalf("%s: GetBatch[%d] = (%v,%v), Get = (%v,%v)", name, i, vals[i], found[i], wv, wok)
+				batchIdx, err := alex.Load(keys, nil, opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-
-			del := append(append([]float64(nil), batch...), -1, -2)
-			gotD := batchIdx.DeleteBatch(del)
-			wantD := 0
-			for _, k := range del {
-				if loopIdx.Delete(k) {
-					wantD++
+				loopIdx, err := alex.Load(keys, nil, opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
+				checkGet := func(stage string, probe []float64) {
+					t.Helper()
+					vals, found := batchIdx.GetBatch(probe)
+					if len(vals) != len(probe) || len(found) != len(probe) {
+						t.Fatalf("%s/%s: GetBatch result lengths %d/%d", name, stage, len(vals), len(found))
+					}
+					for i, k := range probe {
+						wv, wok := loopIdx.Get(k)
+						if vals[i] != wv || found[i] != wok {
+							t.Fatalf("%s/%s: GetBatch[%d] (key %v) = (%v,%v), Get = (%v,%v)", name, stage, i, k, vals[i], found[i], wv, wok)
+						}
+					}
+				}
+				checkGet("before", batch)
+
+				gotN := batchIdx.InsertBatch(batch, pays)
+				wantN := 0
+				for i := range batch {
+					if loopIdx.Insert(batch[i], pays[i]) {
+						wantN++
+					}
+				}
+				if gotN != wantN {
+					t.Fatalf("%s: InsertBatch = %d, loop = %d", name, gotN, wantN)
+				}
+				assertSameContents(t, name+"/insert", batchIdx, loopIdx)
+
+				checkGet("after", batch)
+				checkGet("after+misses", append(append([]float64(nil), batch...), -1, -2, 1e300))
+
+				del := append(append([]float64(nil), batch...), -1, -2)
+				gotD := batchIdx.DeleteBatch(del)
+				wantD := 0
+				for _, k := range del {
+					if loopIdx.Delete(k) {
+						wantD++
+					}
+				}
+				if gotD != wantD {
+					t.Fatalf("%s: DeleteBatch = %d, loop = %d", name, gotD, wantD)
+				}
+				assertSameContents(t, name+"/delete", batchIdx, loopIdx)
 			}
-			if gotD != wantD {
-				t.Fatalf("%s: DeleteBatch = %d, loop = %d", name, gotD, wantD)
-			}
-			assertSameContents(t, name+"/delete", batchIdx, loopIdx)
 		}
 	}
 }

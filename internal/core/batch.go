@@ -4,17 +4,18 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/search"
+	"repro/internal/leafbase"
 )
 
-// This file implements the tree half of the batch API. The point of
-// batching is amortization across every layer the single-key path pays
-// per key: one RMI descent per *leaf group* instead of per key, and at
-// most one expand/retrain/split decision per node per batch instead of
-// per insert. The grouping pass visits each inner node on the batch's
-// route once, partitioning the sorted keys among its children by the
-// same monotone model the single-key path routes with, so the batch
-// and looped results are always identical in content.
+// This file implements the tree half of the batch API. For writes the
+// point of batching is amortization across every layer the single-key
+// path pays per key: one RMI descent per *leaf group* instead of per
+// key, and at most one expand/retrain/split decision per node per batch
+// instead of per insert. The grouping pass visits each inner node on
+// the batch's route once, partitioning the sorted keys among its
+// children by the same monotone model the single-key path routes with,
+// so the batch and looped results are always identical in content.
+// Reads amortize nothing (see GetBatchInto); they overlap cache misses.
 
 // leafGroup is a contiguous run keys[lo:hi] of a sorted batch that
 // routes to one data node.
@@ -79,8 +80,7 @@ func (t *Tree) groupSorted(keys []float64) []leafGroup {
 }
 
 // GetBatch looks up many keys at once, returning parallel payload and
-// found slices. A non-decreasing batch shares one descent per leaf and
-// amortized in-node searches; other batches fall back to per-key gets.
+// found slices; see GetBatchInto.
 func (t *Tree) GetBatch(keys []float64) ([]uint64, []bool) {
 	vals := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
@@ -88,69 +88,60 @@ func (t *Tree) GetBatch(keys []float64) ([]uint64, []bool) {
 	return vals, found
 }
 
+// lookupGroup is how many keys GetBatchInto resolves in lockstep: enough
+// independent probes to keep the CPU's outstanding misses busy, few
+// enough that the per-group leaf and slot arrays stay on the stack.
+const lookupGroup = 32
+
 // GetBatchInto is GetBatch into caller-supplied result slices (vals[i],
 // found[i] describe keys[i]; both must have len(keys) elements — every
-// slot is overwritten). It performs no allocations at all: instead of
-// materializing the leaf groups the way the mutation path does, it
-// streams a sorted batch leaf by leaf — one descent locates the leaf of
-// the first unresolved key, and one binary search against the next
-// non-empty leaf's minimum bounds the contiguous run of batch keys that
-// leaf can hold (leaves own disjoint, ordered key ranges, so no key
-// beyond that bound can live there).
+// slot is overwritten). It performs no allocations and serves every key
+// order alike.
+//
+// A point lookup is a chain of dependent cache misses — inner nodes,
+// the leaf header, the predicted key slot, the payload — so batching
+// saves nothing by sharing descents: a real batch scatters over far
+// more leaves than it has keys per leaf. What it can do is overlap the
+// misses of independent keys (group prefetching, Chen et al. ICDE
+// 2004): each group of lookupGroup keys is resolved in three lockstep
+// passes — descend every key to its leaf array, run Find for every key,
+// read every payload — so one key's miss is in flight while the next
+// key's probe issues. Each pass is exactly Get's step, torn-probe
+// guards included: a nil leaf is a miss, and the payload read sits
+// behind Lookup's unsigned bound check.
 func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		panic("core: GetBatchInto result slices must have len(keys)")
 	}
-	if len(keys) == 0 {
-		return
-	}
-	clear(vals)
-	clear(found)
-	if !sort.Float64sAreSorted(keys) {
-		for i, k := range keys {
-			vals[i], found[i] = t.Get(k)
-		}
-		return
-	}
-	i := 0
-	for i < len(keys) {
-		leaf := t.leafFor(keys[i])
-		if leaf == nil {
-			// Only a torn optimistic probe can see a half-published
-			// descent; resolve the key as a miss and let the seqlock
-			// validation discard the batch.
-			i++
-			continue
-		}
-		// The run for this leaf ends at the first key that could belong
-		// to a later leaf: the first key >= the next non-empty leaf's
-		// minimum. Routing is monotone, so for finite keys keys[i]
-		// itself is below that bound and the run is non-empty.
-		hi := len(keys)
-		for next := leaf.next.Load(); next != nil; next = next.next.Load() {
-			d := next.data()
-			if d == nil {
-				break // torn probe; the forced-progress guard covers it
+	var leaves [lookupGroup]*leafbase.Base
+	var slots [lookupGroup]int
+	for lo := 0; lo < len(keys); lo += lookupGroup {
+		ks := keys[lo:min(lo+lookupGroup, len(keys))]
+		vs, fs := vals[lo:lo+len(ks)], found[lo:lo+len(ks)]
+		for i, k := range ks {
+			leaves[i] = nil
+			leaf := t.leafFor(k)
+			if leaf == nil {
+				continue // torn optimistic probe; see leafFor
 			}
-			if mn, ok := d.MinKey(); ok {
-				hi = i + search.LowerBoundBranchless(keys[i:hi], mn)
-				break
+			if g := leaf.ga.Load(); g != nil {
+				leaves[i] = &g.Base
+			} else if p := leaf.pa.Load(); p != nil {
+				leaves[i] = &p.Base
 			}
 		}
-		if hi == i {
-			// Forced progress: a NaN key (which compares below every
-			// bound and is stored nowhere) or a torn probe's
-			// inconsistent leaf chain can produce an empty run; resolve
-			// that one key against this leaf rather than spinning.
-			hi = i + 1
+		for i, k := range ks {
+			slots[i] = -1
+			if b := leaves[i]; b != nil {
+				slots[i] = b.Find(k)
+			}
 		}
-		// Devirtualize both layouts, like Get.
-		if g := leaf.ga.Load(); g != nil {
-			g.LookupBatch(keys[i:hi], vals[i:hi], found[i:hi])
-		} else if p := leaf.pa.Load(); p != nil {
-			p.LookupBatch(keys[i:hi], vals[i:hi], found[i:hi])
+		for i := range ks {
+			vs[i], fs[i] = 0, false
+			if b := leaves[i]; b != nil && uint(slots[i]) < uint(len(b.Payloads)) {
+				vs[i], fs[i] = b.Payloads[slots[i]], true
+			}
 		}
-		i = hi
 	}
 }
 

@@ -161,7 +161,6 @@ type DataNode interface {
 	Lookup(key float64) (uint64, bool)
 	Update(key float64, payload uint64) bool
 	Delete(key float64) bool
-	LookupBatch(keys []float64, vals []uint64, found []bool)
 	InsertSortedBatch(keys []float64, payloads []uint64) int
 	DeleteSortedBatch(keys []float64) int
 	MergeSorted(keys []float64, payloads []uint64) int

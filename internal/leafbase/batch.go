@@ -1,67 +1,13 @@
 package leafbase
 
-import "repro/internal/search"
-
-// This file implements the data-node half of the batch API: amortized
-// multi-key primitives that the tree layer invokes once per leaf after
-// grouping a sorted batch by destination node. The amortizations are
-// the ones batching makes possible inside a node: successive searches
-// start from the previous hit instead of from scratch, and a merge
-// rebuild replaces per-key shifting with one model retrain and one
-// model-based placement pass (Algorithm 3 run once for the whole
-// batch instead of once per expansion).
-
-// LookupBatch resolves keys against the node, filling the parallel
-// result slices (vals[i], found[i] describe keys[i]; all three must
-// have equal length). Results are correct for any key order.
-//
-// The per-key search strategy mirrors Find: a direct-hit check at the
-// predicted slot, then — on leaves whose error bound fits the bounded
-// window — a one-sided branch-free window search per key, else
-// exponential search. Only the exponential regime uses the
-// previous-slot hint (a non-decreasing batch starts each bracketing at
-// the later of the prediction and the previous key's slot): a bounded
-// probe's clamped result for an *absent* key is not a true lower
-// bound, so feeding it forward as a floor could skip a later key's
-// window, while the bounded window itself already makes the hint's
-// saving irrelevant.
-func (b *Base) LookupBatch(keys []float64, vals []uint64, found []bool) {
-	hint := 0
-	bounded := b.HasModel && b.ErrBound <= boundedMax
-	for i, k := range keys {
-		var slot int
-		if bounded {
-			p := b.predictFast(k)
-			switch kp := b.Keys[p]; {
-			case kp == k:
-				slot = p
-			case kp < k: // one-sided windows, as in Find
-				slot = search.LowerBoundLinear(b.Keys, k, p+1, p+b.ErrBound+1)
-			default:
-				slot = search.LowerBoundLinear(b.Keys, k, p-b.ErrBound, p+1)
-			}
-		} else {
-			pos := hint
-			if b.HasModel {
-				if p := b.predictFast(k); p > pos {
-					pos = p
-				}
-			}
-			slot = search.ExponentialBranchless(b.Keys, k, pos)
-			hint = slot
-		}
-		if slot >= len(b.Keys) || b.Keys[slot] != k {
-			continue
-		}
-		// Unsigned bound folds the miss and the torn-probe guard (see
-		// Find) into one compare.
-		occ := b.Occ.NextSet(slot)
-		if uint(occ) < uint(len(b.Keys)) && b.Keys[occ] == k && uint(occ) < uint(len(b.Payloads)) {
-			vals[i] = b.Payloads[occ]
-			found[i] = true
-		}
-	}
-}
+// This file implements the data-node half of the batch write API:
+// amortized multi-key primitives that the tree layer invokes once per
+// leaf after grouping a sorted batch by destination node. The main
+// amortization is the merge rebuild, which replaces per-key shifting
+// with one model retrain and one model-based placement pass
+// (Algorithm 3 run once for the whole batch instead of once per
+// expansion). Batch reads need no node-level primitive: the tree
+// resolves them with Find, key by key.
 
 // MergeSorted merges a non-decreasing batch with the node's current
 // elements into fresh sorted slices, without touching the node. A batch

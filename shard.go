@@ -5,13 +5,11 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/search"
 )
 
 // ShardedIndex partitions the key space across N independent Index
@@ -29,10 +27,11 @@ import (
 // quantiles and each shard is re-bulk-loaded — just as ALEX retrains a
 // data node's model when its cost drifts from the prediction.
 //
-// Batch operations fan sub-batches out to their shards and run the
-// shards in parallel; a sorted batch stays sorted within each shard
-// (shards cover contiguous key ranges), so the one-descent-per-leaf
-// amortization of the batch API is preserved inside every shard.
+// Batch writes fan sub-batches out to their shards and run the shards
+// in parallel; a sorted batch stays sorted within each shard (shards
+// cover contiguous key ranges), so the one-descent-per-leaf
+// amortization of the batch API is preserved inside every shard. A
+// batch read is grouped by shard and resolved on the calling goroutine.
 // Ordered operations (Scan, ScanN, ScanRange, Iter) visit shards in
 // key order and stitch the results, so callers observe one globally
 // sorted sequence.
@@ -90,8 +89,8 @@ type shard struct {
 	moved bool
 }
 
-// tryGetBatchInto is one optimistic probe for a contiguous run of a
-// sorted batch; valid is false when a writer overlapped (including a
+// tryGetBatchInto is one optimistic probe for one shard's group of a
+// batch; valid is false when a writer overlapped (including a
 // probe that tripped over a mid-rebuild structure and panicked — the
 // recover turns it into a retry).
 func (sh *shard) tryGetBatchInto(keys []float64, payloads []uint64, found []bool) (valid bool) {
@@ -487,8 +486,7 @@ func (ps *partitionScratch) partition(t *shardTable, keys []float64, withPos boo
 }
 
 // GetBatch looks up many keys, allocating the result slices; it is
-// GetBatchInto (the sorted-run optimistic path, pooled sort+permute
-// for unsorted batches) plus two allocations for the results.
+// GetBatchInto plus two allocations for the results.
 func (s *ShardedIndex) GetBatch(keys []float64) (payloads []uint64, found []bool) {
 	payloads = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
@@ -498,15 +496,13 @@ func (s *ShardedIndex) GetBatch(keys []float64) (payloads []uint64, found []bool
 
 // GetBatchInto is GetBatch into caller-supplied result slices (both
 // must have len(keys) elements; every slot is overwritten), performing
-// no allocations. Instead of a parallel scatter fan-out it walks a
-// sorted batch shard by shard in key order — one boundary search per
-// involved shard bounds the contiguous run the shard owns — probing
-// each run optimistically first and falling back to that shard's read
-// lock on writer overlap. An unsorted batch is sorted into a pooled
-// scratch copy (with the permutation back to input slots) and resolved
-// through the same run path, so it pays one O(n log n) sort instead of
-// n independent root-to-leaf descents; only tiny batches fall back to
-// per-key lookups.
+// no allocations. Every key order takes the same path: each key is
+// routed once, the batch is grouped by shard into pooled scratch, and
+// each group is resolved by its shard's Index.GetBatchInto (which
+// overlaps the cache misses of independent keys), probing
+// optimistically first and falling back to the shard's read lock on
+// writer overlap. Sorting the keys first would buy nothing: a point
+// read shares no work with its neighbours.
 func (s *ShardedIndex) GetBatchInto(keys []float64, payloads []uint64, found []bool) {
 	if len(payloads) != len(keys) || len(found) != len(keys) {
 		panic("alex: GetBatchInto result slices must have len(keys)")
@@ -514,112 +510,82 @@ func (s *ShardedIndex) GetBatchInto(keys []float64, payloads []uint64, found []b
 	if len(keys) == 0 {
 		return
 	}
-	if !sort.Float64sAreSorted(keys) {
-		s.getBatchUnsorted(keys, payloads, found)
-		return
-	}
-	s.getBatchSorted(keys, payloads, found)
+	s.getBatchOn(s.tab.Load(), keys, payloads, found)
 }
 
-// getBatchSorted resolves a key-sorted batch run by run.
-func (s *ShardedIndex) getBatchSorted(keys []float64, payloads []uint64, found []bool) {
-	i := 0
-	for i < len(keys) {
-		t := s.tab.Load()
-		j := t.locate(keys[i])
-		// The run this shard owns ends at its exclusive upper bound
-		// (the last shard owns everything that remains).
-		hi := len(keys)
-		if j < len(t.bounds) {
-			hi = i + search.LowerBoundBranchless(keys[i:], t.bounds[j])
-		}
-		if hi == i {
-			// Forced progress: a NaN key compares below every bound
-			// (sort.Float64sAreSorted also treats it as sorted-first),
-			// yielding an empty run; resolve that one key against the
-			// located shard — it is stored nowhere, so the lookup
-			// misses — rather than spinning.
-			hi = i + 1
-		}
-		if !s.getRun(t.shards[j], keys[i:hi], payloads[i:hi], found[i:hi]) {
-			continue // shard superseded mid-fallback: re-route the run
-		}
-		i = hi
-	}
-}
-
-// getBatchUnsorted resolves an unsorted batch: copy the keys into a
-// pooled scratch, sort them together with the permutation of their
-// input slots, run the sorted-run path into pooled staging results,
-// and scatter those back to input order. Everything lives in the pool,
-// so a warm path performs no allocations. Tiny batches skip the sort —
-// per-key lookups win below the sort's fixed cost.
-func (s *ShardedIndex) getBatchUnsorted(keys []float64, payloads []uint64, found []bool) {
-	if len(keys) <= 8 {
-		for i, k := range keys {
-			payloads[i], found[i] = s.Get(k)
-		}
-		return
-	}
+// getBatchOn resolves a batch grouped by the shards of table t. One
+// counting pass sizes the groups, a second lays the keys out group by
+// group with their input slots, and the results are scattered back. A
+// group whose shard a retrain superseded since t was loaded resolves
+// key by key through Get, which routes against the current table.
+func (s *ShardedIndex) getBatchOn(t *shardTable, keys []float64, payloads []uint64, found []bool) {
 	sc := getBatchPool.Get().(*getBatchScratch)
 	defer getBatchPool.Put(sc)
 	n := len(keys)
-	sc.sorter.keys = append(sc.sorter.keys[:0], keys...)
-	if cap(sc.sorter.perm) < n {
-		sc.sorter.perm = make([]int, 0, cap(sc.sorter.keys))
-	}
-	sc.sorter.perm = sc.sorter.perm[:0]
-	for i := range n {
-		sc.sorter.perm = append(sc.sorter.perm, i)
-	}
-	sort.Sort(&sc.sorter)
-	if cap(sc.pays) < n {
+	if cap(sc.keys) < n {
+		sc.keys = make([]float64, n)
+		sc.slot = make([]int, n)
 		sc.pays = make([]uint64, n)
 		sc.found = make([]bool, n)
 	}
-	pays, fnd := sc.pays[:n], sc.found[:n]
-	s.getBatchSorted(sc.sorter.keys, pays, fnd)
-	for i, p := range sc.sorter.perm {
-		payloads[p], found[p] = pays[i], fnd[i]
+	ks, slot, pays, fnd := sc.keys[:n], sc.slot[:n], sc.pays[:n], sc.found[:n]
+	// off[j+1] first counts shard j's keys; prefix sums then turn off[j]
+	// into group j's start. The route of key i is stashed in pays[i]
+	// until the layout pass; the lookups overwrite it.
+	m := len(t.shards) + 1
+	if cap(sc.off) < m {
+		sc.off = make([]int, m)
+	}
+	off := sc.off[:m]
+	clear(off)
+	for i, k := range keys {
+		j := t.locate(k)
+		pays[i] = uint64(j)
+		off[j+1]++
+	}
+	for j := 1; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	for i, k := range keys {
+		j := pays[i]
+		p := off[j]
+		off[j]++
+		ks[p], slot[p] = k, i
+	}
+	// The layout pass advanced off[j] to group j's end, i.e. the start
+	// of group j+1; group j therefore spans [off[j-1], off[j]).
+	lo := 0
+	for j, sh := range t.shards {
+		hi := off[j]
+		if lo < hi && !s.getRun(sh, ks[lo:hi], pays[lo:hi], fnd[lo:hi]) {
+			for i := lo; i < hi; i++ {
+				pays[i], fnd[i] = s.Get(ks[i])
+			}
+		}
+		lo = hi
+	}
+	for p, i := range slot {
+		payloads[i], found[i] = pays[p], fnd[p]
 	}
 }
 
-// getBatchScratch pools the unsorted-batch buffers of GetBatchInto.
+// getBatchScratch pools the grouping buffers of GetBatchInto: the keys
+// laid out shard by shard, their input slots, the staged results, and
+// the per-shard group offsets.
 type getBatchScratch struct {
-	sorter keyPermSorter
-	pays   []uint64
-	found  []bool
+	keys  []float64
+	slot  []int
+	pays  []uint64
+	found []bool
+	off   []int
 }
 
 var getBatchPool = sync.Pool{New: func() any { return new(getBatchScratch) }}
 
-// keyPermSorter sorts a key copy and the permutation of input slots in
-// lockstep. NaN orders first *deterministically* — the `<` comparator
-// alone is inconsistent around NaN and can leave the slice unsorted,
-// which would silently break the run walk's boundary math.
-type keyPermSorter struct {
-	keys []float64
-	perm []int
-}
-
-func (s *keyPermSorter) Len() int { return len(s.keys) }
-func (s *keyPermSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-}
-func (s *keyPermSorter) Less(i, j int) bool {
-	a, b := s.keys[i], s.keys[j]
-	if an, bn := a != a, b != b; an || bn {
-		return an && !bn
-	}
-	return a < b
-}
-
-// getRun resolves one shard-contiguous run of a sorted batch:
-// optimistic probes first, then the shard's read lock. It reports
-// false when the locked path found the shard superseded by a retrain —
-// the caller must re-route against the fresh table, because the run
-// boundary it computed came from the superseded one.
+// getRun resolves one shard's group of a batch: optimistic probes
+// first, then the shard's read lock. It reports false when the locked
+// path found the shard superseded by a retrain — its keys then live in
+// the new table's shards.
 func (s *ShardedIndex) getRun(sh *shard, keys []float64, payloads []uint64, found []bool) bool {
 	if s.optimistic() {
 		for a := 0; a < optimisticRetries; a++ {

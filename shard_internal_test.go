@@ -83,3 +83,34 @@ func TestReadShardMovedRetry(t *testing.T) {
 		}
 	}
 }
+
+// TestGetBatchSupersededShard pins the batch read's fallback: grouped
+// against a table a retrain has since replaced, every group finds its
+// shard moved (the locked path sees the flag) and must resolve key by
+// key through the current table — no key may be lost.
+func TestGetBatchSupersededShard(t *testing.T) {
+	keys := make([]float64, 4096)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	s, err := LoadSharded(4, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetOptimisticReads(false)
+	old := s.tab.Load()
+	s.Rebalance()
+	if s.tab.Load() == old {
+		t.Fatal("rebalance did not install a new table")
+	}
+	batch := []float64{4095, 0, 2047, -1, 1000, 3000.5, 1, 4096, 2048}
+	vals := make([]uint64, len(batch))
+	found := make([]bool, len(batch))
+	s.getBatchOn(old, batch, vals, found)
+	for i, k := range batch {
+		want := k >= 0 && k < 4096 && k == math.Trunc(k)
+		if found[i] != want {
+			t.Fatalf("batch key %v: found = %v, want %v", k, found[i], want)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package alex_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -114,6 +116,13 @@ func TestShardedMinMax(t *testing.T) {
 	}
 }
 
+// TestShardedBatchMatchesLoop checks the sharded batch API against a
+// SyncIndex reference, and every GetBatch result against a per-key Get
+// loop — over one and four shards; a full, an empty, and a one-key
+// index; and probe batches of lengths around the lookup group size,
+// descending and duplicate-carrying order, keys at leaf seams and
+// beyond both ends of the key space, and signed zero and the smallest
+// denormal.
 func TestShardedBatchMatchesLoop(t *testing.T) {
 	const n = 6000
 	keys := datasets.GenLongitudes(2*n, 23)
@@ -122,39 +131,79 @@ func TestShardedBatchMatchesLoop(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = uint64(i) * 3
 	}
+	sorted := datasets.Sorted(append([]float64(nil), init...))
+	// Stored keys of both halves and absent midpoints, in random order.
+	mixed := make([]float64, 0, 300)
+	for i := 0; i < 100; i++ {
+		mixed = append(mixed, init[i], keys[n+i], sorted[2*i]+(sorted[2*i+1]-sorted[2*i])/2)
+	}
+	probes := map[string][]float64{
+		"stored": append(append(append([]float64{}, extra...), init[:100]...), -1e9),
+		"descending": func() []float64 {
+			ks := datasets.Sorted(append([]float64(nil), mixed...))
+			slices.Reverse(ks)
+			return append(ks, ks[:30]...) // and duplicates
+		}(),
+		// The midpoint of every adjacent stored pair: each leaf seam
+		// has one, falling between the two leaves' ranges.
+		"between": func() []float64 {
+			ks := make([]float64, len(sorted)-1)
+			for i := range ks {
+				ks[i] = sorted[i] + (sorted[i+1]-sorted[i])/2
+			}
+			return ks
+		}(),
+		"ends": {
+			-math.MaxFloat64, sorted[0] - 1, math.Nextafter(sorted[0], math.Inf(-1)),
+			math.Nextafter(sorted[len(sorted)-1], math.Inf(1)), sorted[len(sorted)-1] + 1, math.MaxFloat64,
+		},
+		"zeros": {-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64},
+	}
+	for _, l := range []int{1, 31, 32, 33, 64, 65} {
+		probes[fmt.Sprintf("len%d", l)] = mixed[:l]
+	}
 
-	s, err := alex.LoadSharded(4, init, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := alex.LoadSync(init, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 4} {
+		for bname, base := range map[string][]float64{"full": init, "emptyindex": nil, "onekey": init[:1]} {
+			name := fmt.Sprintf("%dshards/%s", shards, bname)
+			s, err := alex.LoadSharded(shards, base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := alex.LoadSync(base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if got, want := s.InsertBatch(extra, payloads), ref.InsertBatch(extra, payloads); got != want {
-		t.Fatalf("InsertBatch = %d, want %d", got, want)
-	}
-	probe := append(append([]float64{}, extra...), init[:100]...)
-	probe = append(probe, -1e9) // absent
-	gotV, gotF := s.GetBatch(probe)
-	wantV, wantF := ref.GetBatch(probe)
-	for i := range probe {
-		if gotF[i] != wantF[i] || (gotF[i] && gotV[i] != wantV[i]) {
-			t.Fatalf("GetBatch[%d] = (%d,%v), want (%d,%v)", i, gotV[i], gotF[i], wantV[i], wantF[i])
+			if got, want := s.InsertBatch(extra, payloads), ref.InsertBatch(extra, payloads); got != want {
+				t.Fatalf("%s: InsertBatch = %d, want %d", name, got, want)
+			}
+			for pname, probe := range probes {
+				gotV, gotF := s.GetBatch(probe)
+				wantV, wantF := ref.GetBatch(probe)
+				for i, k := range probe {
+					v, ok := s.Get(k)
+					if gotF[i] != ok || gotV[i] != v {
+						t.Fatalf("%s/%s: GetBatch[%d] (key %v) = (%d,%v), Get = (%d,%v)", name, pname, i, k, gotV[i], gotF[i], v, ok)
+					}
+					if gotF[i] != wantF[i] || (gotF[i] && gotV[i] != wantV[i]) {
+						t.Fatalf("%s/%s: GetBatch[%d] = (%d,%v), want (%d,%v)", name, pname, i, gotV[i], gotF[i], wantV[i], wantF[i])
+					}
+				}
+			}
+			if got, want := s.DeleteBatch(extra[:n/2]), ref.DeleteBatch(extra[:n/2]); got != want {
+				t.Fatalf("%s: DeleteBatch = %d, want %d", name, got, want)
+			}
+			if got, want := s.Merge(extra, payloads), ref.Merge(extra, payloads); got != want {
+				t.Fatalf("%s: Merge = %d, want %d", name, got, want)
+			}
+			if got, want := s.Len(), ref.Len(); got != want {
+				t.Fatalf("%s: Len = %d, want %d", name, got, want)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got, want := s.DeleteBatch(extra[:n/2]), ref.DeleteBatch(extra[:n/2]); got != want {
-		t.Fatalf("DeleteBatch = %d, want %d", got, want)
-	}
-	if got, want := s.Merge(extra, payloads), ref.Merge(extra, payloads); got != want {
-		t.Fatalf("Merge = %d, want %d", got, want)
-	}
-	if got, want := s.Len(), ref.Len(); got != want {
-		t.Fatalf("Len = %d, want %d", got, want)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -164,8 +164,8 @@ func (s *SyncIndex) Update(key float64, payload uint64) bool {
 
 // GetBatch looks up many keys at once; see Index.GetBatch. Batching is
 // what makes the wrapper scale: the sequence validation (or, on
-// fallback, the lock) and the RMI descents are paid once per batch
-// instead of once per key.
+// fallback, the lock) is paid once per batch instead of once per key,
+// and the keys' cache misses overlap.
 func (s *SyncIndex) GetBatch(keys []float64) (payloads []uint64, found []bool) {
 	payloads = make([]uint64, len(keys))
 	found = make([]bool, len(keys))

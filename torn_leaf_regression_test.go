@@ -34,6 +34,7 @@ import (
 // wrappers satisfy it.
 type tornStormSurface interface {
 	Get(key float64) (uint64, bool)
+	GetBatchInto(keys []float64, payloads []uint64, found []bool)
 	Insert(key float64, payload uint64) bool
 	Delete(key float64) bool
 	InsertBatch(keys []float64, payloads []uint64) int
@@ -65,6 +66,12 @@ func runTornLeafStorm(t *testing.T, idx tornStormSurface) {
 		seedP = append(seedP, payload(k))
 	}
 	idx.Merge(seedK, seedP)
+	// The seeding merge restructures on its own; count the storm's.
+	seeded := idx.Stats()
+	restructures := func() uint64 {
+		st := idx.Stats()
+		return st.Splits + st.Expands + st.Retrains - seeded.Splits - seeded.Expands - seeded.Retrains
+	}
 
 	var stop atomic.Bool
 	var torn atomic.Int64
@@ -79,10 +86,24 @@ func runTornLeafStorm(t *testing.T, idx tornStormSurface) {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			sk := make([]float64, 0, 64)
 			sv := make([]uint64, 0, 64)
+			bk := make([]float64, 64)
+			bv := make([]uint64, 64)
+			bf := make([]bool, 64)
 			for !stop.Load() {
 				for i := 0; i < 256; i++ {
 					k := keyAt(rng.Intn(keySpace))
 					if v, ok := idx.Get(k); ok && v != payload(k) {
+						torn.Add(1)
+					}
+				}
+				// One unsorted batch: the lockstep batch passes race
+				// the restructures too.
+				for i := range bk {
+					bk[i] = keyAt(rng.Intn(keySpace))
+				}
+				idx.GetBatchInto(bk, bv, bf)
+				for i, k := range bk {
+					if bf[i] && bv[i] != payload(k) {
 						torn.Add(1)
 					}
 				}
@@ -95,7 +116,7 @@ func runTornLeafStorm(t *testing.T, idx tornStormSurface) {
 					}
 					prev = k
 				}
-				reads.Add(256 + int64(len(sk)))
+				reads.Add(256 + int64(len(bk)+len(sk)))
 			}
 		}(r)
 	}
@@ -167,8 +188,12 @@ func runTornLeafStorm(t *testing.T, idx tornStormSurface) {
 		}(w)
 	}
 
+	// Run until both floors are met: enough validated reads, and
+	// enough restructures since seeding that the readers demonstrably
+	// raced live splits, expands and retrains.
+	const minReads, minRestructures = 300000, 100
 	deadline := time.Now().Add(15 * time.Second)
-	for reads.Load() < 300000 && time.Now().Before(deadline) {
+	for (reads.Load() < minReads || restructures() < minRestructures) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
@@ -178,11 +203,12 @@ func runTornLeafStorm(t *testing.T, idx tornStormSurface) {
 		t.Fatalf("%d torn/inconsistent reads observed (of %d validated)", n, reads.Load())
 	}
 	st := idx.Stats()
-	if st.Splits == 0 && st.Expands == 0 && st.Retrains == 0 {
-		t.Fatal("storm produced no restructures; the regression was not exercised")
+	if n, r := reads.Load(), restructures(); n < minReads || r < minRestructures {
+		t.Fatalf("storm reached %d reads and %d restructures by the deadline, want >= %d and >= %d; the regression was not exercised",
+			n, r, minReads, minRestructures)
 	}
-	t.Logf("validated %d reads, 0 torn (splits=%d expands=%d retrains=%d)",
-		reads.Load(), st.Splits, st.Expands, st.Retrains)
+	t.Logf("validated %d reads, 0 torn; %d restructures since seeding (splits=%d expands=%d retrains=%d, cumulative)",
+		reads.Load(), restructures(), st.Splits, st.Expands, st.Retrains)
 }
 
 // TestTornLeafRegressionSync recreates the historical torn-leaf.data

@@ -57,8 +57,8 @@ func testZeroAllocReads(t *testing.T, name string, idx readSurface, keys []float
 	assertZeroAlloc(t, name+".GetBatchInto", func() {
 		idx.GetBatchInto(batch, vals, found)
 	})
-	// Unsorted batches route through the pooled sort+permute scatter,
-	// which must also be allocation free once the pool is warm.
+	// Unsorted batches take the same path; on ShardedIndex its pooled
+	// shard grouping must be allocation free once the pool is warm.
 	unsorted := make([]float64, len(batch))
 	for j, k := range batch {
 		unsorted[(j*29)%len(batch)] = k
