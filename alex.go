@@ -33,11 +33,12 @@
 // write amortization. Batch results are always identical in content to
 // the equivalent loop of single-key calls.
 //
-// The four variants the paper evaluates are expressed through options:
-// the data node layout (gapped array vs packed memory array), the model
-// hierarchy (adaptive vs static RMI), and node splitting on inserts.
-// Defaults follow the paper's read-write sweet spot, ALEX-GA-ARMI with
-// ~43% data space overhead.
+// The paper's variants are expressed through options: the model
+// hierarchy (adaptive vs static RMI) and node splitting on inserts.
+// Data nodes are always gapped arrays, and the adaptive RMI is always
+// shaped by the §4 cost model; WithDensity and WithSpaceOverhead trade
+// memory for insert throughput. Defaults follow the paper's read-write
+// sweet spot, ALEX-GA-ARMI with ~43% data space overhead.
 //
 // Keys are float64 and must be finite and unique; payloads are uint64
 // (store an offset or pointer-equivalent for larger values). The index
@@ -68,19 +69,6 @@ import (
 	"repro/internal/leafbase"
 )
 
-// Layout selects the data node layout (§3.3 of the paper).
-type Layout = core.Layout
-
-// Available layouts.
-const (
-	// GappedArray optimizes search: model-based inserts keep elements at
-	// their predicted positions.
-	GappedArray = core.GappedArray
-	// PackedMemoryArray balances insert and search: density-bounded
-	// windows are rebalanced so no region becomes fully packed.
-	PackedMemoryArray = core.PackedMemoryArray
-)
-
 // Stats aggregates the index's work counters (shifts, expands, splits,
 // model retrains) and structural counts (leaves, inner nodes, height).
 type Stats = core.Stats
@@ -90,11 +78,6 @@ type NodeStats = leafbase.Stats
 
 // Option configures an Index at construction.
 type Option func(*core.Config)
-
-// WithLayout selects the data node layout.
-func WithLayout(l Layout) Option {
-	return func(c *core.Config) { c.Layout = l }
-}
 
 // WithStaticRMI uses a fixed two-level RMI with numModels leaf models
 // (0 = auto), as the Learned Index does; the default is the adaptive
@@ -118,40 +101,11 @@ func WithSplitOnInsert() Option {
 	return func(c *core.Config) { c.SplitOnInsert = true }
 }
 
-// WithInnerFanout sets the partitions per non-root inner node during
-// adaptive initialization (default 32).
-func WithInnerFanout(n int) Option {
-	return func(c *core.Config) { c.InnerFanout = n }
-}
-
-// WithSplitFanout sets the children created per node split (default 4).
-// With the default cost-optimal load mode this is the fanout *budget*:
+// WithSplitFanout sets the fanout budget of a node split (default 4):
 // the split planner may choose any power of two up to it, or nest
 // deeper where the modeled cost is lower.
 func WithSplitFanout(n int) Option {
 	return func(c *core.Config) { c.SplitFanout = n }
-}
-
-// WithCostOptimalLoad selects cost-model-optimal bulk loading (§4 of
-// the paper): construction plans each node's fanout by minimizing the
-// modeled cost of future operations — expected search iterations from
-// the prediction-error distribution plus expected insert shifts — and
-// merges adjacent undersized partitions when a single data node is
-// modeled cheaper. This is the default for the adaptive RMI; the option
-// exists to state it explicitly and to override an earlier
-// WithHeuristicLoad. Prefer it whenever loads are large and read
-// performance matters: it adapts fanout to the data instead of applying
-// one fixed fanout everywhere.
-func WithCostOptimalLoad() Option {
-	return func(c *core.Config) { c.Load = core.CostOptimalLoad }
-}
-
-// WithHeuristicLoad restores the fixed-fanout heuristic bulk load
-// (root fanout from the key-space shape, fixed inner fanout below) as
-// an A/B baseline against WithCostOptimalLoad, or for loads where
-// minimum build time beats modeled operation cost.
-func WithHeuristicLoad() Option {
-	return func(c *core.Config) { c.Load = core.HeuristicLoad }
 }
 
 // WithDensity sets the gapped array's upper density limit d directly.
@@ -170,17 +124,6 @@ func WithSpaceOverhead(overhead float64) Option {
 // (default 8; the paper's YCSB dataset uses 80).
 func WithPayloadBytes(n int) Option {
 	return func(c *core.Config) { c.PayloadBytes = n }
-}
-
-// WithAdaptivePMA selects the PackedMemoryArray layout with Bender &
-// Hu's *adaptive* rebalancing, which §7 of the paper proposes against
-// sequential-insert pathologies: window rebalances give recently-hot
-// segments a larger share of the gaps.
-func WithAdaptivePMA() Option {
-	return func(c *core.Config) {
-		c.Layout = core.PackedMemoryArray
-		c.PMA.Adaptive = true
-	}
 }
 
 // Index is an updatable adaptive learned index from float64 keys to
@@ -357,8 +300,8 @@ func (ix *Index) PredictionError(key float64) (int, bool) { return ix.t.Predicti
 func (ix *Index) LeafSizes() []int { return ix.t.LeafSizes() }
 
 // Rebuild reconstructs the whole index from its current contents
-// through the cost-optimal fanout-tree planner, regardless of the
-// configured load mode. Incremental growth — merges, splits, expansions
+// through the cost-optimal fanout-tree planner, for the static RMI
+// too. Incremental growth — merges, splits, expansions
 // — optimizes one node at a time; Rebuild re-plans globally, restoring
 // bulk-load-quality structure after the tree has drifted far from its
 // loaded shape (it is what recovery uses after replaying a large log

@@ -60,10 +60,8 @@ func TestLoadErrors(t *testing.T) {
 func TestOptionsCompose(t *testing.T) {
 	keys := datasets.GenLognormal(50000, 1)
 	idx, err := alex.Load(keys, nil,
-		alex.WithLayout(alex.PackedMemoryArray),
 		alex.WithMaxKeysPerLeaf(512),
 		alex.WithSplitOnInsert(),
-		alex.WithInnerFanout(8),
 		alex.WithSplitFanout(8),
 		alex.WithPayloadBytes(80),
 	)

@@ -13,12 +13,11 @@ import (
 	"repro/internal/datasets"
 )
 
-// batchOptionSets covers the gapped-array default, the PMA layout, and
-// split-on-insert — the configurations whose batch paths differ.
+// batchOptionSets covers the default and split-on-insert — the
+// configurations whose batch paths differ.
 func batchOptionSets() [][]alex.Option {
 	return [][]alex.Option{
 		nil,
-		{alex.WithLayout(alex.PackedMemoryArray)},
 		{alex.WithSplitOnInsert(), alex.WithMaxKeysPerLeaf(512)},
 	}
 }

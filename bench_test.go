@@ -128,12 +128,6 @@ func BenchmarkAblationLeafBound(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationInnerFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationInnerFanout(io.Discard, benchOpts())
-	}
-}
-
 func BenchmarkAblationSplitFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.AblationSplitFanout(io.Discard, benchOpts())
@@ -149,12 +143,6 @@ func BenchmarkExtDeleteChurn(b *testing.B) {
 func BenchmarkExtTheory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.ExtTheory(io.Discard, benchOpts())
-	}
-}
-
-func BenchmarkExtAdaptivePMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.ExtAdaptivePMA(io.Discard, benchOpts())
 	}
 }
 
@@ -328,21 +316,20 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-// --- Cost-optimal bulk load: fanout-tree planner vs the fixed-fanout
-// heuristic on the drifted-longitudes dataset, whose local density spans
-// orders of magnitude so one fanout cannot fit the whole key space. The
-// pair reports load ns/key plus the post-load per-leaf error-bound
+// BenchmarkBulkLoadCostOptimal times the fanout-tree planner's bulk
+// load on the drifted-longitudes dataset, whose local density spans
+// orders of magnitude so one fanout cannot fit the whole key space. It
+// reports load ns/key plus the post-load per-leaf error-bound
 // percentiles and the bounded-search share; benchjson folds them into
-// the `bulk_load` block of BENCH_ci.json and the CI gate holds the
-// cost-optimal load time to +15% over BENCH_baseline.json. ---
-
-func benchBulkLoadMode(b *testing.B, opt alex.Option) {
+// the `bulk_load` block of BENCH_ci.json and the CI gate holds the load
+// time to +15% over BENCH_baseline.json.
+func BenchmarkBulkLoadCostOptimal(b *testing.B) {
 	keys := datasets.Generate(datasets.LongitudesDrifted, 1<<18, 11)
 	sorted := datasets.Sorted(keys)
 	var idx *alex.Index
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx = alex.LoadSorted(sorted, nil, opt)
+		idx = alex.LoadSorted(sorted, nil)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sorted)), "ns/key")
@@ -351,9 +338,6 @@ func benchBulkLoadMode(b *testing.B, opt alex.Option) {
 	b.ReportMetric(float64(st.LeafErrPercentile(99)), "p99-leaf-err")
 	b.ReportMetric(st.BoundedShare(), "bounded-share")
 }
-
-func BenchmarkBulkLoadCostOptimal(b *testing.B) { benchBulkLoadMode(b, alex.WithCostOptimalLoad()) }
-func BenchmarkBulkLoadHeuristic(b *testing.B)   { benchBulkLoadMode(b, alex.WithHeuristicLoad()) }
 
 // BenchmarkRecoveryRebuild times OpenDurable over a WAL tail heavy
 // enough to trip the recovery rebuild threshold: replay coalesces the

@@ -8,8 +8,8 @@
 //
 // Experiments: table1, fig4, fig4a, fig4b, fig4c, fig4d, fig5a, fig5b,
 // fig5c, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, all, plus
-// extensions beyond the paper (ablation-leaf, ablation-fanout,
-// ablation-split, ext-delete, ext-theory, ext-apma, ext-disk,
+// extensions beyond the paper (ablation-leaf, ablation-split,
+// ext-delete, ext-theory, ext-disk, ext-errbounds,
 // ext-batch — the batched-workload mode comparing sorted batch calls
 // against single-key loops — and ext-concurrent, mixed read/write
 // workloads at 1/4/8 goroutines comparing the single-mutex SyncIndex

@@ -72,12 +72,11 @@ type Doc struct {
 	// ns/op over bounded ns/op on the same drifted tree (>1 means the
 	// error-bound strategy selection wins).
 	ErrorBounds map[string]float64 `json:"error_bounds,omitempty"`
-	// BulkLoad archives the cost-optimal bulk-load comparison from the
-	// BulkLoadCostOptimal/BulkLoadHeuristic pair on the drifted
-	// longitudes dataset: load ns/key, post-load p50/p99 per-leaf error
-	// bounds and bounded-search share for each mode, the cost/heuristic
-	// load-time ratio (the acceptance bar is <= 1.5), and the
-	// recovery-rebuild open time from the RecoveryRebuild benchmark.
+	// BulkLoad archives the cost-optimal bulk load from the
+	// BulkLoadCostOptimal benchmark on the drifted longitudes dataset —
+	// load ns/key, post-load p50/p99 per-leaf error bounds and
+	// bounded-search share — and the recovery-rebuild open time from
+	// the RecoveryRebuild benchmark.
 	BulkLoad map[string]float64 `json:"bulk_load,omitempty"`
 	// Snapshot archives the epoch-snapshot concurrency numbers: insert
 	// p99 latency (µs) with a checkpoint loop running concurrently vs
@@ -260,21 +259,16 @@ func main() {
 		}
 	}
 
-	// Bulk-load block: the cost-optimal vs heuristic load pair. Metrics
-	// come from the benchmark's b.ReportMetric extras; ns/key and the
-	// error stats take the min across repetitions (interference only
-	// slows a load down; the error stats are deterministic per build).
+	// Bulk-load block: the cost-optimal load. Metrics come from the
+	// benchmark's b.ReportMetric extras; ns/key and the error stats
+	// take the min across repetitions (interference only slows a load
+	// down; the error stats are deterministic per build).
 	doc.BulkLoad = map[string]float64{}
 	for _, r := range doc.Benchmarks {
-		var prefix string
-		switch r.Name {
-		case "BulkLoadCostOptimal":
-			prefix = "cost_"
-		case "BulkLoadHeuristic":
-			prefix = "heuristic_"
-		default:
+		if r.Name != "BulkLoadCostOptimal" {
 			continue
 		}
+		const prefix = "cost_"
 		for metric, key := range map[string]string{
 			"ns/key":        "load_ns_per_key",
 			"p50-leaf-err":  "p50_leaf_err",
@@ -286,11 +280,6 @@ func main() {
 					doc.BulkLoad[prefix+key] = v
 				}
 			}
-		}
-	}
-	if cost, ok := byName["BulkLoadCostOptimal"]; ok {
-		if heu, ok := byName["BulkLoadHeuristic"]; ok && heu > 0 {
-			doc.BulkLoad["cost_over_heuristic_load_time"] = cost / heu
 		}
 	}
 	if ns, ok := byName["RecoveryRebuild"]; ok {

@@ -2,9 +2,8 @@
 // §5.2.5 distribution-shift scenario as an application. Events arrive
 // with mostly-increasing timestamps (new data lands in a key domain the
 // bulk load never saw), so the index must adapt: this is what node
-// splitting on inserts (WithSplitOnInsert) is for. The example also
-// shows the adversarial pure-sequential case where the paper recommends
-// the PMA layout.
+// splitting on inserts (WithSplitOnInsert) is for. The height printed
+// after the ingest shows how the appends deepened the tree.
 package main
 
 import (
@@ -43,28 +42,14 @@ func main() {
 	}
 	ingestNs := float64(time.Since(t0).Nanoseconds()) / live
 	st := idx.Stats()
-	fmt.Printf("ingested %d live events at %.0f ns/insert (splits=%d, expands=%d)\n",
-		live, ingestNs, st.Splits, st.Expands)
+	fmt.Printf("ingested %d live events at %.0f ns/insert (splits=%d, expands=%d), height %d\n",
+		live, ingestNs, st.Splits, st.Expands, idx.Height())
 
 	// Query: the last 1000 events.
 	maxTs, _ := idx.MaxKey()
 	recent, _ := idx.ScanN(maxTs-13_000, 1000)
 	fmt.Printf("window query returned %d events, first=%0.f last=%.0f\n",
 		len(recent), recent[0], recent[len(recent)-1])
-
-	// The same ingest pattern with the PMA layout, which the paper
-	// recommends for sequential inserts (Fig 5c).
-	pma := alex.LoadSorted(hist, nil,
-		alex.WithLayout(alex.PackedMemoryArray),
-		alex.WithSplitOnInsert())
-	t1 := time.Now()
-	for i := 0; i < live; i++ {
-		ts := liveBase + float64(i)*13 + rng.Float64()
-		pma.Insert(ts, uint64(i))
-	}
-	pmaNs := float64(time.Since(t1).Nanoseconds()) / live
-	fmt.Printf("PMA layout ingest: %.0f ns/insert (rebalances=%d)\n",
-		pmaNs, pma.Stats().Rebalances)
 
 	if err := idx.CheckInvariants(); err != nil {
 		panic(err)

@@ -66,10 +66,8 @@ func buildAll(t *testing.T, init []float64) map[string]kvIndex {
 	sorted := datasets.Sorted(init)
 	out := make(map[string]kvIndex)
 	for _, cfg := range []core.Config{
-		{Layout: core.GappedArray, RMI: core.StaticRMI},
-		{Layout: core.GappedArray, RMI: core.AdaptiveRMI, SplitOnInsert: true},
-		{Layout: core.PackedMemoryArray, RMI: core.StaticRMI},
-		{Layout: core.PackedMemoryArray, RMI: core.AdaptiveRMI, SplitOnInsert: true},
+		{RMI: core.StaticRMI},
+		{RMI: core.AdaptiveRMI, SplitOnInsert: true},
 	} {
 		cfg.MaxKeysPerLeaf = 256
 		out[cfg.VariantName()] = core.BulkLoadSorted(sorted, nil, cfg)

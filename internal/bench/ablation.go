@@ -15,7 +15,6 @@ import (
 type AblationRow struct {
 	Param      string
 	Value      int
-	Label      string // non-empty overrides Value in the printed table (e.g. "cost")
 	Throughput float64
 	IndexBytes int
 	Leaves     int
@@ -33,7 +32,7 @@ func AblationLeafBound(w io.Writer, o Options) []AblationRow {
 	init, stream := all[:o.RWInit], all[o.RWInit:]
 	var rows []AblationRow
 	for _, bound := range []int{256, 1024, 4096, 16384, 65536} {
-		cfg := core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI, MaxKeysPerLeaf: bound}
+		cfg := core.Config{RMI: core.AdaptiveRMI, MaxKeysPerLeaf: bound}
 		at := buildALEX(init, cfg)
 		res := workload.Run(at, workload.Spec{
 			Kind: workload.WriteHeavy, InitKeys: init, InsertStream: stream,
@@ -50,52 +49,10 @@ func AblationLeafBound(w io.Writer, o Options) []AblationRow {
 	return rows
 }
 
-// AblationInnerFanout sweeps the non-root partition count of adaptive
-// RMI initialization (§3.4.1's "fixed number of partitions that is tuned
-// or learned for each dataset"), read-heavy on the skewed lognormal
-// dataset where the recursion depth depends on it.
-func AblationInnerFanout(w io.Writer, o Options) []AblationRow {
-	o = o.withFloors()
-	all := datasets.GenLognormal(o.RWInit+o.Ops, o.Seed)
-	init, stream := all[:o.RWInit], all[o.RWInit:]
-	spec := workload.Spec{
-		Kind: workload.ReadHeavy, InitKeys: init, InsertStream: stream,
-		Ops: o.Ops, Seed: o.Seed + 22,
-	}
-	var rows []AblationRow
-	// The fixed-fanout series needs the heuristic load explicitly: the
-	// default cost-optimal builder plans its own fanouts and would make
-	// the sweep a no-op.
-	for _, fan := range []int{4, 8, 16, 32, 64, 128} {
-		cfg := core.Config{RMI: core.AdaptiveRMI, InnerFanout: fan, MaxKeysPerLeaf: 1024, Load: core.HeuristicLoad}
-		at := buildALEX(init, cfg)
-		res := workload.Run(at, spec)
-		st := at.Stats()
-		rows = append(rows, AblationRow{
-			Param: "InnerFanout", Value: fan,
-			Throughput: res.Throughput, IndexBytes: res.IndexBytes,
-			Leaves: st.NumLeaves, Height: st.Height,
-		})
-	}
-	// Cost-chosen series: the fanout-tree planner picks per-node fanouts
-	// from the cost model instead of one swept constant.
-	{
-		cfg := core.Config{RMI: core.AdaptiveRMI, MaxKeysPerLeaf: 1024, Load: core.CostOptimalLoad}
-		at := buildALEX(init, cfg)
-		res := workload.Run(at, spec)
-		st := at.Stats()
-		rows = append(rows, AblationRow{
-			Param: "InnerFanout", Label: "cost",
-			Throughput: res.Throughput, IndexBytes: res.IndexBytes,
-			Leaves: st.NumLeaves, Height: st.Height,
-		})
-	}
-	printAblation(w, "ablation: InnerFanout (read-heavy, lognormal)", rows)
-	return rows
-}
-
-// AblationSplitFanout sweeps the children-per-split parameter of §3.4.2
-// under the distribution-shift workload, where splits actually happen.
+// AblationSplitFanout sweeps the split planner's fanout budget (§3.4.2;
+// a split picks any power of two up to it, or nests deeper, by
+// minimizing the children's modeled cost) under the distribution-shift
+// workload, where splits actually happen.
 func AblationSplitFanout(w io.Writer, o Options) []AblationRow {
 	o = o.withFloors()
 	keys := datasets.GenLongitudes(o.RWInit*2, o.Seed)
@@ -110,34 +67,16 @@ func AblationSplitFanout(w io.Writer, o Options) []AblationRow {
 		Ops: o.Ops, Seed: o.Seed + 23,
 	}
 	var rows []AblationRow
-	// Fixed midpoint splits need the heuristic mode explicitly — the
-	// default cost-optimal mode plans split points from the cost model.
 	for _, fan := range []int{2, 4, 8, 16} {
 		cfg := core.Config{
 			RMI: core.AdaptiveRMI, SplitOnInsert: true, SplitFanout: fan,
-			MaxKeysPerLeaf: 2048, Load: core.HeuristicLoad,
+			MaxKeysPerLeaf: 2048,
 		}
 		at := buildALEX(initHalf, cfg)
 		res := workload.Run(at, spec)
 		st := at.Stats()
 		rows = append(rows, AblationRow{
 			Param: "SplitFanout", Value: fan,
-			Throughput: res.Throughput, IndexBytes: res.IndexBytes,
-			Leaves: st.NumLeaves, Height: st.Height,
-		})
-	}
-	// Cost-chosen series: splits pick their point and fanout (up to the
-	// default budget) by minimizing the children's modeled cost.
-	{
-		cfg := core.Config{
-			RMI: core.AdaptiveRMI, SplitOnInsert: true,
-			MaxKeysPerLeaf: 2048, Load: core.CostOptimalLoad,
-		}
-		at := buildALEX(initHalf, cfg)
-		res := workload.Run(at, spec)
-		st := at.Stats()
-		rows = append(rows, AblationRow{
-			Param: "SplitFanout", Label: "cost",
 			Throughput: res.Throughput, IndexBytes: res.IndexBytes,
 			Leaves: st.NumLeaves, Height: st.Height,
 		})
@@ -149,11 +88,7 @@ func AblationSplitFanout(w io.Writer, o Options) []AblationRow {
 func printAblation(w io.Writer, title string, rows []AblationRow) {
 	t := stats.NewTable("param", "value", "throughput", "index size", "leaves", "height")
 	for _, r := range rows {
-		val := r.Label
-		if val == "" {
-			val = fmt.Sprintf("%d", r.Value)
-		}
-		t.AddRow(r.Param, val,
+		t.AddRow(r.Param, fmt.Sprintf("%d", r.Value),
 			stats.FormatOps(r.Throughput), stats.FormatBytes(r.IndexBytes),
 			fmt.Sprintf("%d", r.Leaves), fmt.Sprintf("%d", r.Height))
 	}
@@ -182,16 +117,13 @@ func ExtDeleteChurn(w io.Writer, o Options) []ExtDeleteRow {
 		Ops: o.Ops, Seed: o.Seed + 24,
 	}
 
-	at := buildALEX(init, core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI})
+	at := buildALEX(init, core.Config{RMI: core.AdaptiveRMI})
 	ar := workload.Run(at, spec)
-	pt := buildALEX(init, core.Config{Layout: core.PackedMemoryArray, RMI: core.AdaptiveRMI})
-	pr := workload.Run(pt, spec)
 	bt := buildBTree(init, btree.Config{})
 	br := workload.Run(bt, spec)
 
 	rows := []ExtDeleteRow{
 		{Index: "ALEX-GA-ARMI", Throughput: ar.Throughput, DataBytes: ar.DataBytes, Contracts: at.Stats().Contracts},
-		{Index: "ALEX-PMA-ARMI", Throughput: pr.Throughput, DataBytes: pr.DataBytes, Contracts: pt.Stats().Contracts},
 		{Index: "B+Tree", Throughput: br.Throughput, DataBytes: br.DataBytes},
 	}
 	t := stats.NewTable("index", "throughput", "data size", "contractions", "vs B+Tree")

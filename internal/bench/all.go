@@ -29,16 +29,14 @@ var Experiments = map[string]func(w io.Writer, o Options){
 	"fig13":  func(w io.Writer, o Options) { Fig13(w, o) },
 	// Extensions beyond the paper's figures: parameter ablations for the
 	// knobs §3.4 says are "tuned or learned", and delete churn (§3.2).
-	"ablation-leaf":   func(w io.Writer, o Options) { AblationLeafBound(w, o) },
-	"ablation-fanout": func(w io.Writer, o Options) { AblationInnerFanout(w, o) },
-	"ablation-split":  func(w io.Writer, o Options) { AblationSplitFanout(w, o) },
-	"ext-delete":      func(w io.Writer, o Options) { ExtDeleteChurn(w, o) },
-	"ext-theory":      func(w io.Writer, o Options) { ExtTheory(w, o) },
-	"ext-apma":        func(w io.Writer, o Options) { ExtAdaptivePMA(w, o) },
-	"ext-disk":        func(w io.Writer, o Options) { ExtDisk(w, o) },
-	"ext-batch":       func(w io.Writer, o Options) { ExtBatch(w, o) },
-	"ext-concurrent":  func(w io.Writer, o Options) { ExtConcurrent(w, o) },
-	"ext-errbounds":   func(w io.Writer, o Options) { ExtErrorBounds(w, o) },
+	"ablation-leaf":  func(w io.Writer, o Options) { AblationLeafBound(w, o) },
+	"ablation-split": func(w io.Writer, o Options) { AblationSplitFanout(w, o) },
+	"ext-delete":     func(w io.Writer, o Options) { ExtDeleteChurn(w, o) },
+	"ext-theory":     func(w io.Writer, o Options) { ExtTheory(w, o) },
+	"ext-disk":       func(w io.Writer, o Options) { ExtDisk(w, o) },
+	"ext-batch":      func(w io.Writer, o Options) { ExtBatch(w, o) },
+	"ext-concurrent": func(w io.Writer, o Options) { ExtConcurrent(w, o) },
+	"ext-errbounds":  func(w io.Writer, o Options) { ExtErrorBounds(w, o) },
 }
 
 // Order is the canonical experiment ordering for `alexbench all`.
@@ -46,8 +44,8 @@ var Order = []string{
 	"table1", "fig4a", "fig4b", "fig4c", "fig4d",
 	"fig5a", "fig5b", "fig5c", "fig6", "fig7", "fig8",
 	"fig9", "fig10", "fig11", "fig12", "fig13",
-	"ablation-leaf", "ablation-fanout", "ablation-split",
-	"ext-delete", "ext-theory", "ext-apma", "ext-disk", "ext-batch",
+	"ablation-leaf", "ablation-split",
+	"ext-delete", "ext-theory", "ext-disk", "ext-batch",
 	"ext-concurrent", "ext-errbounds",
 }
 

@@ -40,7 +40,7 @@ func ExtBatch(w io.Writer, o Options) []ExtBatchRow {
 	for i := range payloads {
 		payloads[i] = uint64(i)
 	}
-	cfg := core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI}
+	cfg := core.Config{RMI: core.AdaptiveRMI}
 
 	var rows []ExtBatchRow
 	add := func(op string, n int, loop, batch time.Duration) {

@@ -67,7 +67,7 @@ func (o Options) withFloors() Options {
 // workload: GA-SRMI for read-only (§5.2.1), GA-ARMI for read-write and
 // scans (§5.2.2).
 func alexConfigFor(kind workload.Kind, payloadBytes int) core.Config {
-	cfg := core.Config{Layout: core.GappedArray, PayloadBytes: payloadBytes}
+	cfg := core.Config{PayloadBytes: payloadBytes}
 	if kind == ReadOnlyKind {
 		cfg.RMI = core.StaticRMI
 	} else {

@@ -119,7 +119,7 @@ func TestFig5b(t *testing.T) {
 func TestFig5c(t *testing.T) {
 	var buf bytes.Buffer
 	rows := Fig5c(&buf, tiny())
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -138,7 +138,7 @@ func TestFig6(t *testing.T) {
 		t.Fatalf("datasets = %d", len(series))
 	}
 	for name, ss := range series {
-		if len(ss) != 4 {
+		if len(ss) != 2 {
 			t.Fatalf("%s: series = %d", name, len(ss))
 		}
 		for _, s := range ss {
@@ -177,7 +177,7 @@ func TestFig7PredictionErrorShape(t *testing.T) {
 func TestFig8ShiftOrdering(t *testing.T) {
 	var buf bytes.Buffer
 	rows := Fig8(&buf, tiny())
-	if len(rows) != 5 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byName := map[string]float64{}
@@ -185,14 +185,10 @@ func TestFig8ShiftOrdering(t *testing.T) {
 		byName[r.Index] = r.ShiftsPerInsert
 	}
 	// Fig 8 claims: Learned Index >> all ALEX variants; GA-SRMI is the
-	// worst ALEX variant; PMA or ARMI mitigate it.
+	// worst ALEX variant; ARMI mitigates it.
 	if byName["LearnedIndex"] <= byName["ALEX-GA-SRMI"] {
 		t.Fatalf("LearnedIndex shifts %.1f should exceed GA-SRMI %.1f",
 			byName["LearnedIndex"], byName["ALEX-GA-SRMI"])
-	}
-	if byName["ALEX-PMA-SRMI"] >= byName["ALEX-GA-SRMI"] {
-		t.Fatalf("PMA-SRMI %.1f should shift less than GA-SRMI %.1f",
-			byName["ALEX-PMA-SRMI"], byName["ALEX-GA-SRMI"])
 	}
 	if byName["ALEX-GA-ARMI"] >= byName["ALEX-GA-SRMI"] {
 		t.Fatalf("GA-ARMI %.1f should shift less than GA-SRMI %.1f",
@@ -203,7 +199,7 @@ func TestFig8ShiftOrdering(t *testing.T) {
 func TestFig9(t *testing.T) {
 	var buf bytes.Buffer
 	rows := Fig9(&buf, tiny())
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -288,26 +284,10 @@ func TestAblationLeafBound(t *testing.T) {
 	}
 }
 
-func TestAblationInnerFanout(t *testing.T) {
-	var buf bytes.Buffer
-	rows := AblationInnerFanout(&buf, tiny())
-	if len(rows) != 7 { // 6 swept fanouts + the cost-chosen row
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Throughput <= 0 || r.Height < 1 {
-			t.Fatalf("bad row %+v", r)
-		}
-	}
-	if rows[len(rows)-1].Label != "cost" {
-		t.Fatalf("last row = %+v, want the cost-chosen series", rows[len(rows)-1])
-	}
-}
-
 func TestAblationSplitFanout(t *testing.T) {
 	var buf bytes.Buffer
 	rows := AblationSplitFanout(&buf, tiny())
-	if len(rows) != 5 { // 4 swept fanouts + the cost-chosen row
+	if len(rows) != 4 { // the swept fanout budgets
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Larger split fanout must produce at least as many leaves under the
@@ -316,15 +296,12 @@ func TestAblationSplitFanout(t *testing.T) {
 		t.Fatalf("fanout 16 leaves %d < fanout 2 leaves %d",
 			rows[3].Leaves, rows[0].Leaves)
 	}
-	if rows[len(rows)-1].Label != "cost" {
-		t.Fatalf("last row = %+v, want the cost-chosen series", rows[len(rows)-1])
-	}
 }
 
 func TestExtDeleteChurn(t *testing.T) {
 	var buf bytes.Buffer
 	rows := ExtDeleteChurn(&buf, tiny())
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -352,19 +329,6 @@ func TestExtTheory(t *testing.T) {
 			}
 			prev = r.Simulated
 		}
-	}
-}
-
-func TestExtAdaptivePMA(t *testing.T) {
-	var buf bytes.Buffer
-	rows := ExtAdaptivePMA(&buf, tiny())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	uniform, adaptive := rows[0], rows[1]
-	if adaptive.Rebalances >= uniform.Rebalances {
-		t.Fatalf("adaptive PMA rebalances %d not below uniform %d",
-			adaptive.Rebalances, uniform.Rebalances)
 	}
 }
 

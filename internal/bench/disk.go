@@ -43,7 +43,7 @@ func ExtDisk(w io.Writer, o Options) []DiskRow {
 	var rows []DiskRow
 
 	// In-memory baseline.
-	mem := buildALEX(keys, core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI})
+	mem := buildALEX(keys, core.Config{RMI: core.AdaptiveRMI})
 	t0 := time.Now()
 	var sink uint64
 	for _, k := range probes {

@@ -36,7 +36,7 @@ func Fig10(w io.Writer, o Options) []Fig10Row {
 		for _, ov := range overheads {
 			d := gapped.DensityForOverhead(ov)
 			cfg := core.Config{
-				Layout: core.GappedArray, RMI: core.AdaptiveRMI,
+				RMI:     core.AdaptiveRMI,
 				Density: d, PayloadBytes: name.PayloadBytes(),
 			}
 			at := buildALEX(init, cfg)

@@ -28,9 +28,9 @@ type Fig6Series struct {
 
 // Fig6 regenerates the lifetime study (§5.2.6): initialize with a small
 // key count, insert up to the full dataset, pausing periodically to
-// probe lookups. Variants: ALEX-PMA-SRMI, ALEX-GA-ARMI, ALEX-PMA-ARMI
-// (GA-SRMI is omitted, as in the paper — its inserts degrade badly),
-// plus the B+Tree, on longitudes and longlat.
+// probe lookups. Variants: ALEX-GA-ARMI (the paper's PMA variants are
+// not implemented, and GA-SRMI is omitted, as in the paper — its
+// inserts degrade badly), plus the B+Tree, on longitudes and longlat.
 func Fig6(w io.Writer, o Options) map[datasets.Name][]Fig6Series {
 	o = o.withFloors()
 	out := make(map[datasets.Name][]Fig6Series)
@@ -54,9 +54,7 @@ func fig6Dataset(w io.Writer, o Options, name datasets.Name) []Fig6Series {
 		idx   lifetimeIndex
 	}
 	targets := []target{
-		{"ALEX-PMA-SRMI", buildALEX(init, core.Config{Layout: core.PackedMemoryArray, RMI: core.StaticRMI})},
-		{"ALEX-GA-ARMI", buildALEX(init, core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI, SplitOnInsert: true})},
-		{"ALEX-PMA-ARMI", buildALEX(init, core.Config{Layout: core.PackedMemoryArray, RMI: core.AdaptiveRMI, SplitOnInsert: true})},
+		{"ALEX-GA-ARMI", buildALEX(init, core.Config{RMI: core.AdaptiveRMI, SplitOnInsert: true})},
 		{"B+Tree", buildBTree(init, btree.Config{})},
 	}
 

@@ -45,7 +45,7 @@ func Fig7(w io.Writer, o Options) Fig7Result {
 		}
 	}
 
-	at := buildALEX(init, core.Config{Layout: core.GappedArray, RMI: core.AdaptiveRMI})
+	at := buildALEX(init, core.Config{RMI: core.AdaptiveRMI})
 	for _, k := range init {
 		if e, ok := at.PredictionError(k); ok {
 			res.ALEXAfterInit.Observe(e)

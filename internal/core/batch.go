@@ -126,8 +126,6 @@ func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 			}
 			if g := leaf.ga.Load(); g != nil {
 				leaves[i] = &g.Base
-			} else if p := leaf.pa.Load(); p != nil {
-				leaves[i] = &p.Base
 			}
 		}
 		for i, k := range ks {

@@ -10,11 +10,7 @@ import (
 // whose batch path exercises splitting and re-routing.
 func batchVariants() []Config {
 	vs := allVariants()
-	vs = append(vs,
-		Config{Layout: GappedArray, RMI: AdaptiveRMI, SplitOnInsert: true},
-		Config{Layout: PackedMemoryArray, RMI: AdaptiveRMI, SplitOnInsert: true},
-	)
-	return vs
+	return append(vs, Config{RMI: AdaptiveRMI, SplitOnInsert: true})
 }
 
 // crossCheck verifies that got (a batch-built tree) and want (the same
@@ -318,38 +314,36 @@ func TestBatchRandomizedChurn(t *testing.T) {
 // split-on-insert, as a loop of single inserts would.
 func TestBatchRestoresLeafBound(t *testing.T) {
 	const maxLeaf = 256
-	for _, layout := range []Layout{GappedArray, PackedMemoryArray} {
-		for _, useMerge := range []bool{false, true} {
-			cfg := Config{Layout: layout, RMI: AdaptiveRMI, SplitOnInsert: true, MaxKeysPerLeaf: maxLeaf}
-			base := uniqueKeys(2000, 8)
-			tr, err := BulkLoad(base, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, useMerge := range []bool{false, true} {
+		cfg := Config{RMI: AdaptiveRMI, SplitOnInsert: true, MaxKeysPerLeaf: maxLeaf}
+		base := uniqueKeys(2000, 8)
+		tr, err := BulkLoad(base, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dense cluster in a narrow range routes to few leaves.
+		cluster := make([]float64, 8000)
+		for i := range cluster {
+			cluster[i] = 1e6 + float64(i)/16
+		}
+		pays := make([]uint64, len(cluster))
+		if useMerge {
+			tr.Merge(cluster, pays)
+		} else {
+			tr.InsertBatch(cluster, pays)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		worst := 0
+		for _, sz := range tr.LeafSizes() {
+			if sz > worst {
+				worst = sz
 			}
-			// A dense cluster in a narrow range routes to few leaves.
-			cluster := make([]float64, 8000)
-			for i := range cluster {
-				cluster[i] = 1e6 + float64(i)/16
-			}
-			pays := make([]uint64, len(cluster))
-			if useMerge {
-				tr.Merge(cluster, pays)
-			} else {
-				tr.InsertBatch(cluster, pays)
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			worst := 0
-			for _, sz := range tr.LeafSizes() {
-				if sz > worst {
-					worst = sz
-				}
-			}
-			if worst > maxLeaf {
-				t.Fatalf("%s merge=%v: leaf of %d keys exceeds bound %d after batch",
-					layout, useMerge, worst, maxLeaf)
-			}
+		}
+		if worst > maxLeaf {
+			t.Fatalf("merge=%v: leaf of %d keys exceeds bound %d after batch",
+				useMerge, worst, maxLeaf)
 		}
 	}
 }

@@ -2,13 +2,16 @@
 // (§3). An ALEX tree is a Recursive Model Index whose inner nodes hold a
 // linear model and an array of child pointers (possibly repeated, when
 // adjacent partitions were merged at bulk load), and whose leaves are
-// data nodes in one of two layouts: Gapped Array or Packed Memory Array.
+// Gapped Array data nodes (§3.3.1, internal/gapped).
 //
-// The four variants evaluated in the paper are expressed through Config:
-// Layout × RMIMode give ALEX-GA-SRMI, ALEX-GA-ARMI, ALEX-PMA-SRMI and
-// ALEX-PMA-ARMI; SplitOnInsert additionally enables §3.4.2 node
-// splitting (used for the distribution-shift and sequential-insert
-// experiments).
+// The adaptive RMI is shaped by the §4 cost model: bulk loads, rebuilds
+// and node splits are planned by the fanout tree of internal/costmodel.
+// Config.RMI selects it (ALEX-GA-ARMI) or the two-level static RMI of
+// the Learned Index (ALEX-GA-SRMI); SplitOnInsert additionally enables
+// §3.4.2 node splitting (used for the distribution-shift and
+// sequential-insert experiments). The paper's Packed Memory Array
+// layout and Algorithm 4's fixed-fanout loader are not implemented; see
+// docs/design-decisions.md.
 //
 // The tree is single-writer, but it is built to be read lock-free while
 // that writer works (the paper's system is single-threaded; §7 lists
@@ -36,38 +39,15 @@ import (
 	"repro/internal/gapped"
 	"repro/internal/leafbase"
 	"repro/internal/linmodel"
-	"repro/internal/pma"
 	"repro/internal/stats"
 )
-
-// Layout selects the data node layout (§3.3).
-type Layout int
-
-const (
-	// GappedArray is the search-optimized layout (§3.3.1).
-	GappedArray Layout = iota
-	// PackedMemoryArray balances update and search performance (§3.3.2).
-	PackedMemoryArray
-)
-
-// String returns the layout's short name ("GA", "PMA").
-func (l Layout) String() string {
-	switch l {
-	case GappedArray:
-		return "GA"
-	case PackedMemoryArray:
-		return "PMA"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
 
 // RMIMode selects between the static and adaptive model hierarchies (§3.4).
 type RMIMode int
 
 const (
-	// AdaptiveRMI initializes the tree with Algorithm 4, bounding leaf
-	// sizes and adapting depth to the data.
+	// AdaptiveRMI plans the tree with the §4 cost model, bounding leaf
+	// sizes and adapting fanout and depth to the data.
 	AdaptiveRMI RMIMode = iota
 	// StaticRMI uses a two-level RMI with a fixed number of leaf models,
 	// like the Learned Index of Kraska et al.
@@ -89,18 +69,14 @@ func (m RMIMode) String() string {
 // Config parameterizes an ALEX index. The zero value gives ALEX-GA-ARMI
 // with the paper's default space overhead (§5.1).
 type Config struct {
-	// Layout selects the data node layout.
-	Layout Layout
 	// RMI selects static vs adaptive model hierarchy.
 	RMI RMIMode
 	// MaxKeysPerLeaf is the maximum bound on keys per data node used by
-	// adaptive RMI initialization and node splitting (§3.4). Default 4096.
+	// adaptive RMI planning and node splitting (§3.4). Default 4096.
 	MaxKeysPerLeaf int
-	// InnerFanout is the number of partitions given to each non-root
-	// inner node during adaptive initialization (§3.4.1). Default 32.
-	InnerFanout int
-	// SplitFanout is the number of children created when a node splits
-	// on insert (§3.4.2). Default 4.
+	// SplitFanout is the fanout budget of a node split on insert
+	// (§3.4.2): the split planner may choose any power of two up to it,
+	// or nest deeper where the modeled cost is lower. Default 4.
 	SplitFanout int
 	// SplitOnInsert enables node splitting on inserts. Per §5.1,
 	// "unless otherwise stated, adaptive RMI does not do node splitting
@@ -112,24 +88,14 @@ type Config struct {
 	// Density is the gapped array's upper density limit d. 0 uses the
 	// default tuned for ~43% space overhead.
 	Density float64
-	// PMA configures the Packed Memory Array density bounds.
-	PMA pma.Config
 	// PayloadBytes is the payload size used in data-size accounting
 	// (8 for most datasets, 80 for YCSB). Default 8.
 	PayloadBytes int
-	// Load selects how adaptive-RMI structure is chosen: the zero
-	// value CostOptimalLoad plans bulk loads, rebuilds and splits with
-	// the §4 cost-model fanout tree; HeuristicLoad keeps the fixed
-	// fanout heuristics. Ignored by StaticRMI.
-	Load LoadMode
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxKeysPerLeaf <= 0 {
 		c.MaxKeysPerLeaf = 4096
-	}
-	if c.InnerFanout < 2 {
-		c.InnerFanout = 32
 	}
 	if c.SplitFanout < 2 {
 		c.SplitFanout = 4
@@ -143,56 +109,8 @@ func (c Config) withDefaults() Config {
 // VariantName returns the paper's name for this configuration, e.g.
 // "ALEX-GA-ARMI".
 func (c Config) VariantName() string {
-	return "ALEX-" + c.Layout.String() + "-" + c.RMI.String()
+	return "ALEX-GA-" + c.RMI.String()
 }
-
-// DataNode is the contract both leaf layouts satisfy. The batch
-// methods take non-decreasing key runs (the tree groups a sorted batch
-// by destination node before calling them) and amortize the per-key
-// growth/contraction decisions to once per batch.
-//
-// The plain mutating methods (Insert, Delete, ...) may reallocate the
-// node's backing arrays in place; the tree therefore never calls them
-// on a published node — writer-side mutations go through the layouts'
-// COW variants (InsertCOW, ...), dispatched by the leaf-op helpers in
-// leafops.go, which republish capacity changes atomically.
-type DataNode interface {
-	Insert(key float64, payload uint64) bool
-	Lookup(key float64) (uint64, bool)
-	Update(key float64, payload uint64) bool
-	Delete(key float64) bool
-	InsertSortedBatch(keys []float64, payloads []uint64) int
-	DeleteSortedBatch(keys []float64) int
-	MergeSorted(keys []float64, payloads []uint64) int
-	Num() int
-	Cap() int
-	Collect(keys []float64, payloads []uint64) ([]float64, []uint64)
-	ScanFrom(start float64, visit func(key float64, payload uint64) bool) bool
-	MinKey() (float64, bool)
-	MaxKey() (float64, bool)
-	AppendFrom(start float64, max int, keys []float64, payloads []uint64) ([]float64, []uint64)
-	PredictionError(key float64) (int, bool)
-	// ErrorBound / RetrainAdvised / Retrain are the §4 cost-model
-	// surface: the per-leaf prediction-error bound (-1 for model-less
-	// nodes), the drift signal derived from it, and the corrective
-	// rebuild. See leafbase for the maintenance rules.
-	ErrorBound() int
-	RetrainAdvised() bool
-	Retrain()
-	// Seal / Sealed are the snapshot freeze protocol (leafbase.Seal):
-	// SealLeaves marks a node frozen, and the writer clones it before
-	// its next mutation.
-	Seal()
-	Sealed() bool
-	DataSizeBytes(payloadBytes int) int
-	BaseStats() *leafbase.Stats
-	CheckInvariants() error
-}
-
-var (
-	_ DataNode = (*gapped.Array)(nil)
-	_ DataNode = (*pma.Array)(nil)
-)
 
 // node is a tree node — inner or leaf, distinguished by children:
 // non-nil marks an inner node routing keys through its linear model,
@@ -214,13 +132,10 @@ type node struct {
 	fanF     float64 // cached float64(len(children)), see routeSlot
 	children []atomic.Pointer[node]
 
-	// Leaf state: exactly one of ga/pa is non-nil, matching the tree's
-	// configured layout. Two typed pointers instead of one DataNode
-	// interface keep the swap atomic and the hot probe devirtualized.
+	// Leaf state: the data array, non-nil exactly for leaves.
 	// Restructures store a rebuilt array; value-only mutations touch the
 	// current array in place.
 	ga atomic.Pointer[gapped.Array]
-	pa atomic.Pointer[pma.Array]
 
 	// Sibling links for range scans, maintained by the writer, followed
 	// lock-free by scans.
@@ -253,18 +168,8 @@ func (n *node) routeSlot(key float64) int {
 	return int(p)
 }
 
-// data returns the leaf's data array through the DataNode interface —
-// the cold-path accessor (stats, scans, invariants). Hot paths load ga
-// or pa directly to stay devirtualized. Returns nil for inner nodes.
-func (n *node) data() DataNode {
-	if g := n.ga.Load(); g != nil {
-		return g
-	}
-	if p := n.pa.Load(); p != nil {
-		return p
-	}
-	return nil
-}
+// data returns the leaf's data array, or nil for inner nodes.
+func (n *node) data() *gapped.Array { return n.ga.Load() }
 
 // child returns slot i's current child; writer-side walks use it.
 func (n *node) child(i int) *node { return n.children[i].Load() }
@@ -379,7 +284,7 @@ func (t *Tree) retireObj(x any) {
 	}
 }
 
-// maxBuildDepth caps adaptive-RMI recursion against degenerate data.
+// maxBuildDepth caps adaptive-RMI plan depth against degenerate data.
 const maxBuildDepth = 48
 
 // New returns an empty index ("cold start", §3.4.2): a single empty data
@@ -486,36 +391,23 @@ func bulkLoadSorted(keys []float64, payloads []uint64, cfg Config) *Tree {
 		return t
 	}
 	t.count = len(keys)
-	switch {
-	case cfg.RMI == StaticRMI:
+	if cfg.RMI == StaticRMI {
 		t.root.Store(t.buildStatic(keys, payloads))
-	case cfg.Load == HeuristicLoad:
-		t.root.Store(t.buildAdaptive(keys, payloads, 0))
-	default:
+	} else {
 		t.root.Store(t.buildCostOptimal(keys, payloads))
 	}
 	t.linkLeaves()
 	return t
 }
 
-// newLeaf creates a data node of the configured layout from a sorted
-// unique segment.
+// newLeaf creates a data node from a sorted unique segment.
 func (t *Tree) newLeaf(keys []float64, payloads []uint64) *node {
 	n := &node{}
-	switch t.cfg.Layout {
-	case PackedMemoryArray:
-		if len(keys) == 0 {
-			n.pa.Store(pma.New(t.cfg.PMA))
-		} else {
-			n.pa.Store(pma.NewFromSorted(keys, payloads, t.cfg.PMA))
-		}
-	default:
-		gcfg := gapped.Config{Density: t.cfg.Density}
-		if len(keys) == 0 {
-			n.ga.Store(gapped.New(gcfg))
-		} else {
-			n.ga.Store(gapped.NewFromSorted(keys, payloads, gcfg))
-		}
+	gcfg := gapped.Config{Density: t.cfg.Density}
+	if len(keys) == 0 {
+		n.ga.Store(gapped.New(gcfg))
+	} else {
+		n.ga.Store(gapped.NewFromSorted(keys, payloads, gcfg))
 	}
 	return n
 }
@@ -539,55 +431,6 @@ func (t *Tree) buildStatic(keys []float64, payloads []uint64) *node {
 	for p := 0; p < m; p++ {
 		lo, hi := bounds[p], bounds[p+1]
 		inner.children[p].Store(t.newLeaf(keys[lo:hi], payloads[lo:hi]))
-	}
-	return inner
-}
-
-// buildAdaptive implements Algorithm 4. Keys is the sorted segment
-// assigned to this subtree; depth 0 is the root.
-func (t *Tree) buildAdaptive(keys []float64, payloads []uint64, depth int) *node {
-	n := len(keys)
-	maxKeys := t.cfg.MaxKeysPerLeaf
-	if n <= maxKeys || depth >= maxBuildDepth {
-		return t.newLeaf(keys, payloads)
-	}
-	// The root receives enough partitions that each holds maxKeys in
-	// expectation; non-root nodes use the fixed fanout (§3.4.1).
-	p := t.cfg.InnerFanout
-	if depth == 0 {
-		p = (n + maxKeys - 1) / maxKeys
-		if p < 2 {
-			p = 2
-		}
-	}
-	model, bounds, nonEmpty := partition(keys, p)
-	if nonEmpty <= 1 {
-		// The model cannot subdivide this segment (extreme skew):
-		// fall back to a single leaf rather than recurse forever.
-		return t.newLeaf(keys, payloads)
-	}
-	inner := newInner(model, p)
-	for i := 0; i < p; {
-		size := bounds[i+1] - bounds[i]
-		if size > maxKeys {
-			// Oversized partition: recurse into a child inner node.
-			inner.children[i].Store(t.buildAdaptive(keys[bounds[i]:bounds[i+1]], payloads[bounds[i]:bounds[i+1]], depth+1))
-			i++
-			continue
-		}
-		// Undersized: merge subsequent partitions while the accumulated
-		// size stays within the bound, then emit one shared leaf.
-		begin := i
-		acc := size
-		for i+1 < p && acc+(bounds[i+2]-bounds[i+1]) <= maxKeys {
-			i++
-			acc += bounds[i+1] - bounds[i]
-		}
-		leaf := t.newLeaf(keys[bounds[begin]:bounds[i+1]], payloads[bounds[begin]:bounds[i+1]])
-		for q := begin; q <= i; q++ {
-			inner.children[q].Store(leaf)
-		}
-		i++
 	}
 	return inner
 }
@@ -724,16 +567,11 @@ func (t *Tree) Get(key float64) (uint64, bool) {
 	if leaf == nil {
 		return 0, false // torn optimistic probe; see leafFor
 	}
-	// Devirtualize both layouts: a direct typed call lets the probe
-	// chain (Find, the branchless searches) inline into one frame, where
-	// an interface call would pin it behind dynamic dispatch. The array
-	// pointer is loaded once; a restructure publishing a rebuilt array
-	// concurrently leaves this probe on the old (intact) one.
+	// The array pointer is loaded once; a restructure publishing a
+	// rebuilt array concurrently leaves this probe on the old (intact)
+	// one.
 	if g := leaf.ga.Load(); g != nil {
 		return g.Lookup(key)
-	}
-	if p := leaf.pa.Load(); p != nil {
-		return p.Lookup(key)
 	}
 	return 0, false
 }
@@ -789,13 +627,13 @@ func (t *Tree) costCheck(leaf, parent *node) {
 }
 
 // splitLeaf implements node splitting on inserts (§3.4.2): the leaf
-// becomes an inner subtree whose structure is chosen by the configured
-// LoadMode — the fanout-tree planner minimizing the children's modeled
-// cost under CostOptimalLoad (falling back to the heuristic when the
-// planner cannot partition), a flat SplitFanout partition of the
-// leaf's model under HeuristicLoad; sibling links are spliced. Returns
-// false when the leaf's keys cannot be partitioned at all (all keys in
-// one partition), in which case the leaf is left in place to expand.
+// becomes an inner subtree whose structure the fanout-tree planner
+// chooses by minimizing the children's modeled cost within the
+// SplitFanout budget, falling back to a flat SplitFanout partition of
+// the leaf's keys when the planner cannot partition them; sibling links
+// are spliced. Returns false when the leaf's keys cannot be partitioned
+// at all (all keys in one partition), in which case the leaf is left in
+// place to expand.
 //
 // The replacement subtree — inner node(s), children, their data
 // arrays, their internal sibling links — is built completely off to
@@ -808,12 +646,9 @@ func (t *Tree) costCheck(leaf, parent *node) {
 func (t *Tree) splitLeaf(leaf, parent *node) bool {
 	keys, payloads := leaf.data().Collect(nil, nil)
 	var sub *node
-	if t.cfg.Load != HeuristicLoad {
-		if pl := t.planParams().NewSplitPlan(keys, t.cfg.SplitFanout); pl != nil {
-			sub = t.buildFromPlan(keys, payloads, pl, 0)
-		}
-	}
-	if sub == nil {
+	if pl := t.planParams().NewSplitPlan(keys, t.cfg.SplitFanout); pl != nil {
+		sub = t.buildFromPlan(keys, payloads, pl, 0)
+	} else {
 		s := t.cfg.SplitFanout
 		model, bounds, nonEmpty := partition(keys, s)
 		if nonEmpty <= 1 {

@@ -8,13 +8,12 @@ import (
 	"testing/quick"
 )
 
-// allVariants enumerates the paper's four ALEX configurations (§5.1).
+// allVariants enumerates the paper's gapped-array ALEX configurations
+// (§5.1).
 func allVariants() []Config {
 	return []Config{
-		{Layout: GappedArray, RMI: StaticRMI},
-		{Layout: GappedArray, RMI: AdaptiveRMI},
-		{Layout: PackedMemoryArray, RMI: StaticRMI},
-		{Layout: PackedMemoryArray, RMI: AdaptiveRMI},
+		{RMI: StaticRMI},
+		{RMI: AdaptiveRMI},
 	}
 }
 
@@ -35,12 +34,23 @@ func uniqueKeys(n int, seed int64) []float64 {
 func TestVariantNames(t *testing.T) {
 	want := map[string]bool{
 		"ALEX-GA-SRMI": true, "ALEX-GA-ARMI": true,
-		"ALEX-PMA-SRMI": true, "ALEX-PMA-ARMI": true,
 	}
 	for _, cfg := range allVariants() {
 		if !want[cfg.VariantName()] {
 			t.Fatalf("unexpected variant name %q", cfg.VariantName())
 		}
+	}
+}
+
+// TestBulkLoadCountsNoRetrains: a bulk load builds its leaves; it does
+// not retrain them, so Stats().Retrains starts at zero however many
+// leaves the load produced.
+func TestBulkLoadCountsNoRetrains(t *testing.T) {
+	keys := uniqueKeys(100000, 4)
+	sort.Float64s(keys)
+	st := BulkLoadSorted(keys, nil, Config{}).Stats()
+	if st.NumLeaves < 2 || st.Retrains != 0 {
+		t.Fatalf("bulk load of %d keys: %d leaves, Retrains = %d; want several leaves and 0", len(keys), st.NumLeaves, st.Retrains)
 	}
 }
 
@@ -167,7 +177,7 @@ func TestColdStartInsertsAllVariants(t *testing.T) {
 }
 
 func TestSplitOnInsertGrowsTree(t *testing.T) {
-	cfg := Config{Layout: GappedArray, RMI: AdaptiveRMI, MaxKeysPerLeaf: 128, SplitOnInsert: true}
+	cfg := Config{RMI: AdaptiveRMI, MaxKeysPerLeaf: 128, SplitOnInsert: true}
 	tr := New(cfg)
 	for i := 0; i < 5000; i++ {
 		tr.Insert(float64(i)*7.3, uint64(i))
@@ -188,7 +198,7 @@ func TestSplitOnInsertGrowsTree(t *testing.T) {
 }
 
 func TestNoSplitWithoutFlag(t *testing.T) {
-	cfg := Config{Layout: GappedArray, RMI: AdaptiveRMI, MaxKeysPerLeaf: 128, SplitOnInsert: false}
+	cfg := Config{RMI: AdaptiveRMI, MaxKeysPerLeaf: 128, SplitOnInsert: false}
 	tr := New(cfg)
 	for i := 0; i < 5000; i++ {
 		tr.Insert(float64(i)*3.1, uint64(i))
@@ -404,7 +414,7 @@ func TestSkewedDataAdaptiveDepth(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	tr, err := BulkLoad(keys, nil, Config{RMI: AdaptiveRMI, MaxKeysPerLeaf: 512, InnerFanout: 16})
+	tr, err := BulkLoad(keys, nil, Config{RMI: AdaptiveRMI, MaxKeysPerLeaf: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +507,6 @@ func TestQuickAllVariantsAgainstMap(t *testing.T) {
 	for _, cfg := range allVariants() {
 		cfg.MaxKeysPerLeaf = 64
 		cfg.SplitOnInsert = true
-		cfg.InnerFanout = 4
 		cfg.SplitFanout = 4
 		name := cfg.VariantName()
 		f := func(ops []op) bool {
@@ -565,9 +574,8 @@ func TestQuickBulkLoadScanRoundTrip(t *testing.T) {
 				keys = append(keys, k)
 			}
 		}
-		cfg := allVariants()[int(layoutSeed)%4]
+		cfg := allVariants()[int(layoutSeed)%len(allVariants())]
 		cfg.MaxKeysPerLeaf = 32
-		cfg.InnerFanout = 4
 		tr, err := BulkLoad(keys, nil, cfg)
 		if err != nil {
 			return false

@@ -5,40 +5,17 @@ import (
 	"repro/internal/gapped"
 )
 
-// LoadMode selects how adaptive-RMI structure is chosen at bulk load,
-// at recovery rebuilds, and at node splits.
-type LoadMode int
-
-const (
-	// CostOptimalLoad (the default) plans structure with the §4
-	// cost-model fanout tree: per node, the partition model is trained
-	// once, power-of-two fanout candidates are evaluated against the
-	// modeled search + shift + traverse cost, and adjacent undersized
-	// partitions merge when the merged data node is cheaper.
-	CostOptimalLoad LoadMode = iota
-	// HeuristicLoad keeps the fixed heuristics (root fanout n/MaxKeys,
-	// non-root InnerFanout, midpoint splits at SplitFanout) as the A/B
-	// baseline for the cost-optimal builder.
-	HeuristicLoad
-)
-
 // planParams derives the cost-model parameters from the tree's
-// configuration: the leaf bound, the split-fanout-scaled budget, and
-// the expected post-build occupancy of the configured layout (d² for
-// the gapped array's n/d² build capacity, ~0.5 for the PMA's
-// power-of-two capacities).
+// configuration: the leaf bound and the expected post-build occupancy,
+// d² for the gapped array's n/d² build capacity.
 func (t *Tree) planParams() costmodel.Params {
-	occ := 0.5
-	if t.cfg.Layout == GappedArray {
-		d := t.cfg.Density
-		if d <= 0 || d > 1 {
-			d = gapped.DefaultDensity
-		}
-		occ = d * d
+	d := t.cfg.Density
+	if d <= 0 || d > 1 {
+		d = gapped.DefaultDensity
 	}
 	return costmodel.Params{
 		MaxKeysPerLeaf: t.cfg.MaxKeysPerLeaf,
-		Density:        occ,
+		Density:        d * d,
 	}
 }
 
@@ -50,8 +27,8 @@ func (t *Tree) buildCostOptimal(keys []float64, payloads []uint64) *node {
 
 // buildFromPlan materializes a fanout-tree plan into nodes. Repeated
 // child-plan pointers (the planner's merged undersized partitions)
-// become repeated child-node pointers, the same sharing convention the
-// heuristic builder and splitLeaf use.
+// become repeated child-node pointers, the same sharing convention
+// splitLeaf's fallback partition uses.
 func (t *Tree) buildFromPlan(keys []float64, payloads []uint64, pl *costmodel.Plan, depth int) *node {
 	if pl.Children == nil || depth >= maxBuildDepth {
 		return t.newLeaf(keys[pl.Lo:pl.Hi], payloads[pl.Lo:pl.Hi])
@@ -72,8 +49,7 @@ func (t *Tree) buildFromPlan(keys []float64, payloads []uint64, pl *costmodel.Pl
 }
 
 // RebuildCostOptimal rebuilds the whole tree through the fanout-tree
-// planner, regardless of the configured LoadMode: the recovery path
-// calls it after heavy coalesced replay left the tree shaped by
+// planner, for the static RMI too: the recovery path calls it after heavy coalesced replay left the tree shaped by
 // incremental merges rather than by a plan. The replacement is built
 // completely off to the side and published with two atomic stores
 // (root, then head), so concurrent lock-free readers observe either

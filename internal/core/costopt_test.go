@@ -79,52 +79,46 @@ func genExtremes(n int, _ int64) []float64 {
 	return keys
 }
 
-// TestCostOptimalEquivalenceFuzz builds every layout over every
-// adversarial distribution with both the fanout-tree planner and the
-// heuristic builder, and requires identical key→payload contents and
-// clean invariants (CheckInvariants audits the exact post-build
-// ErrBound via each data node's own checks) from both.
+// TestCostOptimalEquivalenceFuzz bulk loads every adversarial
+// distribution through the fanout-tree planner and requires exactly the
+// input key→payload pairs back, with clean invariants (CheckInvariants
+// audits the exact post-build ErrBound via each data node's own checks).
 func TestCostOptimalEquivalenceFuzz(t *testing.T) {
-	layouts := []Layout{GappedArray, PackedMemoryArray}
 	for _, dist := range fuzzDists {
-		for _, layout := range layouts {
-			t.Run(dist.name+"/"+layout.String(), func(t *testing.T) {
-				keys := dist.gen(20000, 42)
-				payloads := make([]uint64, len(keys))
-				for i := range payloads {
-					payloads[i] = uint64(i) * 7
-				}
-				cfgOpt := Config{Layout: layout, MaxKeysPerLeaf: 512, Load: CostOptimalLoad}
-				cfgHeu := Config{Layout: layout, MaxKeysPerLeaf: 512, Load: HeuristicLoad}
-				opt := BulkLoadSorted(keys, payloads, cfgOpt)
-				heu := BulkLoadSorted(keys, payloads, cfgHeu)
-				if err := opt.CheckInvariants(); err != nil {
-					t.Fatalf("cost-optimal invariants: %v", err)
-				}
-				if err := heu.CheckInvariants(); err != nil {
-					t.Fatalf("heuristic invariants: %v", err)
-				}
-				requireSameContents(t, opt, heu)
-			})
-		}
+		t.Run(dist.name+"/GA", func(t *testing.T) {
+			keys := dist.gen(20000, 42)
+			payloads := make([]uint64, len(keys))
+			for i := range payloads {
+				payloads[i] = uint64(i) * 7
+			}
+			tr := BulkLoadSorted(keys, payloads, Config{MaxKeysPerLeaf: 512})
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("invariants: %v", err)
+			}
+			requireContents(t, tr, keys, payloads)
+		})
 	}
 }
 
-// TestCostOptimalStaticRMIUnaffected: StaticRMI ignores LoadMode — both
-// settings build the identical static structure.
+// TestCostOptimalStaticRMIUnaffected: the planner shapes only the
+// adaptive RMI; StaticRMI still builds the fixed two-level structure
+// over exactly the input pairs.
 func TestCostOptimalStaticRMIUnaffected(t *testing.T) {
 	keys := fuzzDists[0].gen(8000, 7)
-	a := BulkLoadSorted(keys, nil, Config{RMI: StaticRMI, Load: CostOptimalLoad})
-	b := BulkLoadSorted(keys, nil, Config{RMI: StaticRMI, Load: HeuristicLoad})
-	if ha, hb := a.Height(), b.Height(); ha != hb {
-		t.Fatalf("static RMI heights differ by load mode: %d vs %d", ha, hb)
+	payloads := make([]uint64, len(keys))
+	tr := BulkLoadSorted(keys, payloads, Config{RMI: StaticRMI})
+	if h := tr.Height(); h != 2 {
+		t.Fatalf("static RMI height %d, want 2", h)
 	}
-	requireSameContents(t, a, b)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	requireContents(t, tr, keys, payloads)
 }
 
-// TestCostOptimalSplitEquivalence drives splits through an insert storm
-// in both modes; both trees must keep clean invariants and identical
-// contents.
+// TestCostOptimalSplitEquivalence drives planned splits through an
+// insert storm; the tree must keep clean invariants and hold exactly
+// the loaded and inserted pairs.
 func TestCostOptimalSplitEquivalence(t *testing.T) {
 	for _, dist := range fuzzDists[:3] {
 		t.Run(dist.name, func(t *testing.T) {
@@ -136,22 +130,30 @@ func TestCostOptimalSplitEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk := func(mode LoadMode) *Tree {
-				cfg := Config{MaxKeysPerLeaf: 256, SplitOnInsert: true, SplitFanout: 4, Load: mode}
-				tr := BulkLoadSorted(initK, initP, cfg)
-				for _, k := range stream {
-					tr.Insert(k, math.Float64bits(k))
+			tr := BulkLoadSorted(initK, initP, Config{MaxKeysPerLeaf: 256, SplitOnInsert: true, SplitFanout: 4})
+			for _, k := range stream {
+				tr.Insert(k, math.Float64bits(k))
+			}
+			if tr.Stats().Splits == 0 {
+				t.Fatal("insert storm split no leaf")
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after splits: %v", err)
+			}
+			wantK, wantP, err := SortPairs(all, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserted := make(map[float64]bool, len(stream))
+			for _, k := range stream {
+				inserted[k] = true
+			}
+			for i, k := range wantK {
+				if inserted[k] {
+					wantP[i] = math.Float64bits(k)
 				}
-				return tr
 			}
-			opt, heu := mk(CostOptimalLoad), mk(HeuristicLoad)
-			if err := opt.CheckInvariants(); err != nil {
-				t.Fatalf("cost-optimal invariants after splits: %v", err)
-			}
-			if err := heu.CheckInvariants(); err != nil {
-				t.Fatalf("heuristic invariants after splits: %v", err)
-			}
-			requireSameContents(t, opt, heu)
+			requireContents(t, tr, wantK, wantP)
 		})
 	}
 }
@@ -161,8 +163,7 @@ func TestCostOptimalSplitEquivalence(t *testing.T) {
 // is retired.
 func TestRebuildCostOptimal(t *testing.T) {
 	keys := fuzzDists[1].gen(30000, 3)
-	cfg := Config{MaxKeysPerLeaf: 512, Load: HeuristicLoad}
-	tr := BulkLoadSorted(keys[:1000], nil, cfg)
+	tr := BulkLoadSorted(keys[:1000], nil, Config{MaxKeysPerLeaf: 512})
 	// Grow by merges, the shape recovery replay leaves behind.
 	for lo := 1000; lo < len(keys); lo += 4096 {
 		hi := lo + 4096
@@ -209,19 +210,20 @@ func chainCollect(tr *Tree) ([]float64, []uint64) {
 	return ks, ps
 }
 
-func requireSameContents(t *testing.T, a, b *Tree) {
+// requireContents checks that the tree holds exactly the sorted pairs
+// keys/payloads.
+func requireContents(t *testing.T, tr *Tree, keys []float64, payloads []uint64) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
+	if tr.Len() != len(keys) {
+		t.Fatalf("Len %d, want %d", tr.Len(), len(keys))
 	}
-	ak, ap := chainCollect(a)
-	bk, bp := chainCollect(b)
-	if len(ak) != len(bk) {
-		t.Fatalf("collected lengths differ: %d vs %d", len(ak), len(bk))
+	gk, gp := chainCollect(tr)
+	if len(gk) != len(keys) {
+		t.Fatalf("collected %d pairs, want %d", len(gk), len(keys))
 	}
-	for i := range ak {
-		if ak[i] != bk[i] || ap[i] != bp[i] {
-			t.Fatalf("contents differ at %d: (%v,%d) vs (%v,%d)", i, ak[i], ap[i], bk[i], bp[i])
+	for i := range gk {
+		if gk[i] != keys[i] || gp[i] != payloads[i] {
+			t.Fatalf("pair %d is (%v,%d), want (%v,%d)", i, gk[i], gp[i], keys[i], payloads[i])
 		}
 	}
 }

@@ -16,6 +16,10 @@ import (
 //	magic "ALEXGO01" (8 bytes)
 //	config: layout, rmi, maxKeysPerLeaf, innerFanout, splitFanout,
 //	        splitOnInsert, numLeafModels, density, payloadBytes
+//	        (layout and innerFanout are retired words: written as 0 and
+//	        32, read and ignored — older builds wrote layout 1 for the
+//	        removed Packed Memory Array, whose leaves load as gapped
+//	        arrays like any other)
 //	count (uint64)
 //	tree: pre-order node stream — tag byte (0 inner, 1 leaf);
 //	      inner: model (2 float64), child count, then children with
@@ -37,6 +41,12 @@ const (
 	tagRepeat = 2
 )
 
+// Values written into the retired header words.
+const (
+	retiredLayoutWord = 0
+	retiredFanoutWord = 32
+)
+
 // ErrBadFormat is returned when decoding fails structurally.
 var ErrBadFormat = errors.New("core: bad index encoding")
 
@@ -48,8 +58,8 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	}
 	cfg := t.cfg
 	hdr := []uint64{
-		uint64(cfg.Layout), uint64(cfg.RMI), uint64(cfg.MaxKeysPerLeaf),
-		uint64(cfg.InnerFanout), uint64(cfg.SplitFanout), boolU64(cfg.SplitOnInsert),
+		retiredLayoutWord, uint64(cfg.RMI), uint64(cfg.MaxKeysPerLeaf),
+		retiredFanoutWord, uint64(cfg.SplitFanout), boolU64(cfg.SplitOnInsert),
 		uint64(cfg.NumLeafModels), math.Float64bits(cfg.Density), uint64(cfg.PayloadBytes),
 		uint64(t.count),
 	}
@@ -127,17 +137,15 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 		}
 	}
 	cfg := Config{
-		Layout:         Layout(hdr[0]),
 		RMI:            RMIMode(hdr[1]),
 		MaxKeysPerLeaf: int(hdr[2]),
-		InnerFanout:    int(hdr[3]),
 		SplitFanout:    int(hdr[4]),
 		SplitOnInsert:  hdr[5] != 0,
 		NumLeafModels:  int(hdr[6]),
 		Density:        math.Float64frombits(hdr[7]),
 		PayloadBytes:   int(hdr[8]),
 	}
-	if cfg.Layout != GappedArray && cfg.Layout != PackedMemoryArray {
+	if hdr[0] > 1 {
 		return nil, fmt.Errorf("%w: layout %d", ErrBadFormat, hdr[0])
 	}
 	if cfg.RMI != AdaptiveRMI && cfg.RMI != StaticRMI {

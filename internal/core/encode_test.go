@@ -161,7 +161,7 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 				keys = append(keys, k)
 			}
 		}
-		cfg := allVariants()[int(variant)%4]
+		cfg := allVariants()[int(variant)%len(allVariants())]
 		cfg.MaxKeysPerLeaf = 64
 		tr, err := BulkLoad(keys, nil, cfg)
 		if err != nil {

@@ -116,7 +116,7 @@ func TestAlternatingEndsInserts(t *testing.T) {
 
 func TestTinyLeafBoundAndFanouts(t *testing.T) {
 	// Pathologically small tuning values must clamp, not crash.
-	cfg := Config{MaxKeysPerLeaf: 1, InnerFanout: 1, SplitFanout: 1, SplitOnInsert: true}
+	cfg := Config{MaxKeysPerLeaf: 1, SplitFanout: 1, SplitOnInsert: true}
 	tr := New(cfg)
 	for i := 0; i < 1000; i++ {
 		tr.Insert(float64(i), uint64(i))

@@ -15,14 +15,11 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 128, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, variant uint8) {
 		cfgs := []Config{
-			{Layout: GappedArray, RMI: StaticRMI},
-			{Layout: GappedArray, RMI: AdaptiveRMI, SplitOnInsert: true},
-			{Layout: PackedMemoryArray, RMI: StaticRMI},
-			{Layout: PackedMemoryArray, RMI: AdaptiveRMI, SplitOnInsert: true},
+			{RMI: StaticRMI},
+			{RMI: AdaptiveRMI, SplitOnInsert: true},
 		}
 		cfg := cfgs[int(variant)%len(cfgs)]
 		cfg.MaxKeysPerLeaf = 32
-		cfg.InnerFanout = 4
 		cfg.SplitFanout = 2
 		tr := New(cfg)
 		ref := make(map[float64]uint64)
@@ -101,13 +98,11 @@ func FuzzBulkLoadScan(f *testing.F) {
 			}
 		}
 		cfgs := []Config{
-			{Layout: GappedArray, RMI: StaticRMI},
-			{Layout: GappedArray, RMI: AdaptiveRMI},
-			{Layout: PackedMemoryArray, RMI: AdaptiveRMI},
+			{RMI: StaticRMI},
+			{RMI: AdaptiveRMI},
 		}
 		cfg := cfgs[int(variant)%len(cfgs)]
 		cfg.MaxKeysPerLeaf = 16
-		cfg.InnerFanout = 4
 		tr, err := BulkLoad(keys, nil, cfg)
 		if err != nil {
 			t.Fatal(err)

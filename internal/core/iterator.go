@@ -16,14 +16,6 @@ type Iterator struct {
 	ok   bool
 }
 
-// iterAccessor is the slot-level surface iterators need from data nodes;
-// both layouts provide it through leafbase.
-type iterAccessor interface {
-	LowerBoundOcc(key float64) int
-	NextSlot(slot int) int
-	At(slot int) (float64, uint64)
-}
-
 // Iter returns an iterator positioned before the first element; call
 // Next to advance onto it.
 func (t *Tree) Iter() *Iterator {
@@ -34,8 +26,7 @@ func (t *Tree) Iter() *Iterator {
 // key is >= start.
 func (t *Tree) IterFrom(start float64) *Iterator {
 	leaf, _ := t.traverse(start)
-	acc := leaf.data().(iterAccessor)
-	slot := acc.LowerBoundOcc(start)
+	slot := leaf.data().LowerBoundOcc(start)
 	// Position "before" the target slot so the first Next lands on it.
 	return &Iterator{leaf: leaf, slot: slot, ok: false, key: start}
 }
@@ -47,7 +38,7 @@ func (it *Iterator) Next() bool {
 	}
 	if it.ok {
 		// Advance past the current slot.
-		it.slot = it.leaf.data().(iterAccessor).NextSlot(it.slot)
+		it.slot = it.leaf.data().NextSlot(it.slot)
 	} else if it.slot >= 0 {
 		// First call: the stored slot, if any, is the element itself.
 		// (slot already points at the lower bound; nothing to do.)
@@ -60,9 +51,9 @@ func (it *Iterator) Next() bool {
 			it.ok = false
 			return false
 		}
-		it.slot = it.leaf.data().(iterAccessor).NextSlot(-1)
+		it.slot = it.leaf.data().NextSlot(-1)
 	}
-	it.key, it.val = it.leaf.data().(iterAccessor).At(it.slot)
+	it.key, it.val = it.leaf.data().At(it.slot)
 	it.ok = true
 	return true
 }

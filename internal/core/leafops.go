@@ -1,17 +1,14 @@
 package core
 
-import (
-	"repro/internal/gapped"
-	"repro/internal/pma"
-)
+import "repro/internal/gapped"
 
-// This file is the writer-side dispatch between the tree and the leaf
-// layouts' copy-on-write operation variants. Every mutation of a
+// This file is the writer-side bridge between the tree and the gapped
+// array's copy-on-write operation variants. Every mutation of a
 // published leaf goes through one of the leafXxx helpers, which:
 //
 //  1. obtain a writable array — cloning it first if a snapshot sealed
 //     the current one (freeze-on-snapshot, clone-on-first-write);
-//  2. run the layout's COW variant, which mutates in place when the
+//  2. run the array's COW variant, which mutates in place when the
 //     operation is value-only and otherwise builds a replacement;
 //  3. publish any replacement with a single atomic store and retire
 //     the superseded array for epoch-based reclamation.
@@ -22,12 +19,11 @@ import (
 // reader can fault, and pinned snapshots keep their sealed arrays
 // byte-stable forever.
 
-// writableGA returns the leaf's gapped array ready for mutation,
-// cloning and republishing it first when a snapshot sealed it. Returns
-// nil when the leaf is PMA-backed.
-func (t *Tree) writableGA(n *node) *gapped.Array {
+// writable returns the leaf's array ready for mutation, cloning and
+// republishing it first when a snapshot sealed it.
+func (t *Tree) writable(n *node) *gapped.Array {
 	g := n.ga.Load()
-	if g == nil || !g.Sealed() {
+	if !g.Sealed() {
 		return g
 	}
 	c := g.CloneForWrite()
@@ -36,50 +32,28 @@ func (t *Tree) writableGA(n *node) *gapped.Array {
 	return c
 }
 
-// writablePA is writableGA for the PMA layout.
-func (t *Tree) writablePA(n *node) *pma.Array {
-	p := n.pa.Load()
-	if p == nil || !p.Sealed() {
-		return p
-	}
-	c := p.CloneForWrite()
-	n.pa.Store(c)
-	t.retireObj(p)
-	return c
+// publish replaces the leaf's array old with repl and retires old.
+// Callers test repl for nil first, so the common in-place case pays no
+// call.
+func (t *Tree) publish(n *node, old, repl *gapped.Array) {
+	n.ga.Store(repl)
+	t.retireObj(old)
 }
 
 func (t *Tree) leafInsert(n *node, key float64, payload uint64) bool {
-	if g := t.writableGA(n); g != nil {
-		repl, ok := g.InsertCOW(key, payload)
-		if repl != nil {
-			n.ga.Store(repl)
-			t.retireObj(g)
-		}
-		return ok
-	}
-	p := t.writablePA(n)
-	repl, ok := p.InsertCOW(key, payload)
+	g := t.writable(n)
+	repl, ok := g.InsertCOW(key, payload)
 	if repl != nil {
-		n.pa.Store(repl)
-		t.retireObj(p)
+		t.publish(n, g, repl)
 	}
 	return ok
 }
 
 func (t *Tree) leafDelete(n *node, key float64) bool {
-	if g := t.writableGA(n); g != nil {
-		repl, ok := g.DeleteCOW(key)
-		if repl != nil {
-			n.ga.Store(repl)
-			t.retireObj(g)
-		}
-		return ok
-	}
-	p := t.writablePA(n)
-	repl, ok := p.DeleteCOW(key)
+	g := t.writable(n)
+	repl, ok := g.DeleteCOW(key)
 	if repl != nil {
-		n.pa.Store(repl)
-		t.retireObj(p)
+		t.publish(n, g, repl)
 	}
 	return ok
 }
@@ -88,71 +62,35 @@ func (t *Tree) leafDelete(n *node, key float64) bool {
 // value-only, but a sealed array must still be cloned first — snapshot
 // readers own its exact contents.
 func (t *Tree) leafUpdate(n *node, key float64, payload uint64) bool {
-	if g := t.writableGA(n); g != nil {
-		return g.Update(key, payload)
-	}
-	return t.writablePA(n).Update(key, payload)
+	return t.writable(n).Update(key, payload)
 }
 
 func (t *Tree) leafRetrain(n *node) {
-	if g := n.ga.Load(); g != nil {
-		repl := g.RetrainCOW()
-		n.ga.Store(repl)
-		t.retireObj(g)
-		return
-	}
-	p := n.pa.Load()
-	repl := p.RetrainCOW()
-	n.pa.Store(repl)
-	t.retireObj(p)
+	g := n.ga.Load()
+	t.publish(n, g, g.RetrainCOW())
 }
 
 func (t *Tree) leafInsertSortedBatch(n *node, keys []float64, payloads []uint64) int {
-	if g := t.writableGA(n); g != nil {
-		repl, added := g.InsertSortedBatchCOW(keys, payloads)
-		if repl != nil {
-			n.ga.Store(repl)
-			t.retireObj(g)
-		}
-		return added
-	}
-	p := t.writablePA(n)
-	repl, added := p.InsertSortedBatchCOW(keys, payloads)
+	g := t.writable(n)
+	repl, added := g.InsertSortedBatchCOW(keys, payloads)
 	if repl != nil {
-		n.pa.Store(repl)
-		t.retireObj(p)
+		t.publish(n, g, repl)
 	}
 	return added
 }
 
 func (t *Tree) leafDeleteSortedBatch(n *node, keys []float64) int {
-	if g := t.writableGA(n); g != nil {
-		repl, deleted := g.DeleteSortedBatchCOW(keys)
-		if repl != nil {
-			n.ga.Store(repl)
-			t.retireObj(g)
-		}
-		return deleted
-	}
-	p := t.writablePA(n)
-	repl, deleted := p.DeleteSortedBatchCOW(keys)
+	g := t.writable(n)
+	repl, deleted := g.DeleteSortedBatchCOW(keys)
 	if repl != nil {
-		n.pa.Store(repl)
-		t.retireObj(p)
+		t.publish(n, g, repl)
 	}
 	return deleted
 }
 
 func (t *Tree) leafMergeSorted(n *node, keys []float64, payloads []uint64) int {
-	if g := n.ga.Load(); g != nil {
-		repl, added := g.MergeSortedCOW(keys, payloads)
-		n.ga.Store(repl)
-		t.retireObj(g)
-		return added
-	}
-	p := n.pa.Load()
-	repl, added := p.MergeSortedCOW(keys, payloads)
-	n.pa.Store(repl)
-	t.retireObj(p)
+	g := n.ga.Load()
+	repl, added := g.MergeSortedCOW(keys, payloads)
+	t.publish(n, g, repl)
 	return added
 }

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/gapped"
+)
 
 // Snapshot is a consistent, immutable point-in-time view of a tree: the
 // ordered set of its sealed data nodes plus the element count and stats
@@ -11,7 +15,7 @@ import "math"
 type Snapshot struct {
 	// Leaves holds the sealed data nodes in ascending key order. They
 	// own disjoint key ranges; some may be empty.
-	Leaves []DataNode
+	Leaves []*gapped.Array
 	// Count is the number of elements at the cut.
 	Count int
 	// TreeStats is the full Stats() aggregate at the cut, captured
@@ -119,7 +123,7 @@ func (s *Snapshot) IterFrom(start float64) *SnapIterator {
 	li := s.firstLeaf(start)
 	it := &SnapIterator{s: s, li: li, slot: -1}
 	if li < len(s.Leaves) {
-		it.slot = s.Leaves[li].(iterAccessor).LowerBoundOcc(start)
+		it.slot = s.Leaves[li].LowerBoundOcc(start)
 	}
 	return it
 }
@@ -131,7 +135,7 @@ func (it *SnapIterator) Next() bool {
 		return false
 	}
 	if it.ok {
-		it.slot = it.s.Leaves[it.li].(iterAccessor).NextSlot(it.slot)
+		it.slot = it.s.Leaves[it.li].NextSlot(it.slot)
 	}
 	for it.slot < 0 {
 		it.li++
@@ -139,9 +143,9 @@ func (it *SnapIterator) Next() bool {
 			it.ok = false
 			return false
 		}
-		it.slot = it.s.Leaves[it.li].(iterAccessor).NextSlot(-1)
+		it.slot = it.s.Leaves[it.li].NextSlot(-1)
 	}
-	it.key, it.val = it.s.Leaves[it.li].(iterAccessor).At(it.slot)
+	it.key, it.val = it.s.Leaves[it.li].At(it.slot)
 	it.ok = true
 	return true
 }

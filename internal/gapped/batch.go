@@ -23,7 +23,7 @@ func (a *Array) InsertSortedBatch(keys []float64, payloads []uint64) int {
 	}
 	n := 0
 	for i := range keys {
-		switch a.PlaceModelBased(keys[i], payloads[i], 0, a.Cap()) {
+		switch a.PlaceModelBased(keys[i], payloads[i]) {
 		case leafbase.Inserted:
 			n++
 		case leafbase.Duplicate:
@@ -32,7 +32,7 @@ func (a *Array) InsertSortedBatch(keys []float64, payloads []uint64) int {
 			// packed region, Fig 3): expand once and retry, failing as
 			// loudly as the single-key path would.
 			a.Expand()
-			if a.PlaceModelBased(keys[i], payloads[i], 0, a.Cap()) == leafbase.NeedRoom {
+			if a.PlaceModelBased(keys[i], payloads[i]) == leafbase.NeedRoom {
 				panic("gapped: insert failed after expansion")
 			}
 			n++
@@ -56,6 +56,7 @@ func (a *Array) MergeSorted(keys []float64, payloads []uint64) int {
 		a.Stats.Contracts++
 	}
 	a.Base.BuildFromSorted(mk, mp, newCap)
+	a.Stats.Retrains++
 	return added
 }
 

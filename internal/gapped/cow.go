@@ -41,6 +41,7 @@ func (a *Array) rebuiltCopy(capacity int) *Array {
 	r.Stats = a.Stats
 	keys, payloads := a.Collect(nil, nil)
 	r.Base.BuildFromSorted(keys, payloads, capacity)
+	r.Stats.Retrains++
 	return r
 }
 
@@ -69,7 +70,7 @@ func (a *Array) InsertCOW(key float64, payload uint64) (repl *Array, inserted bo
 		repl = a.expandedCopy()
 		cur = repl
 	}
-	switch cur.PlaceModelBased(key, payload, 0, cur.Cap()) {
+	switch cur.PlaceModelBased(key, payload) {
 	case leafbase.Inserted:
 		return repl, true
 	case leafbase.Duplicate:
@@ -78,7 +79,7 @@ func (a *Array) InsertCOW(key float64, payload uint64) (repl *Array, inserted bo
 		// Full despite the density check (tiny nodes, or a fully packed
 		// region with no usable gap): rebuild expanded and place there.
 		repl = cur.expandedCopy()
-		if repl.PlaceModelBased(key, payload, 0, repl.Cap()) == leafbase.NeedRoom {
+		if repl.PlaceModelBased(key, payload) == leafbase.NeedRoom {
 			panic("gapped: insert failed after expansion")
 		}
 		return repl, true
@@ -119,6 +120,7 @@ func (a *Array) MergeSortedCOW(keys []float64, payloads []uint64) (repl *Array, 
 		r.Stats.Contracts++
 	}
 	r.Base.BuildFromSorted(mk, mp, newCap)
+	r.Stats.Retrains++
 	return r, added
 }
 
@@ -136,14 +138,14 @@ func (a *Array) InsertSortedBatchCOW(keys []float64, payloads []uint64) (repl *A
 	cur := a
 	n := 0
 	for i := range keys {
-		switch cur.PlaceModelBased(keys[i], payloads[i], 0, cur.Cap()) {
+		switch cur.PlaceModelBased(keys[i], payloads[i]) {
 		case leafbase.Inserted:
 			n++
 		case leafbase.Duplicate:
 		default:
 			repl = cur.expandedCopy()
 			cur = repl
-			if cur.PlaceModelBased(keys[i], payloads[i], 0, cur.Cap()) == leafbase.NeedRoom {
+			if cur.PlaceModelBased(keys[i], payloads[i]) == leafbase.NeedRoom {
 				panic("gapped: insert failed after expansion")
 			}
 			n++

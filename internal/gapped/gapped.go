@@ -116,7 +116,7 @@ func (a *Array) Insert(key float64, payload uint64) bool {
 	if float64(a.NumKeys+1) > a.cfg.Density*float64(a.Cap()) {
 		a.Expand()
 	}
-	switch a.PlaceModelBased(key, payload, 0, a.Cap()) {
+	switch a.PlaceModelBased(key, payload) {
 	case leafbase.Inserted:
 		return true
 	case leafbase.Duplicate:
@@ -124,7 +124,7 @@ func (a *Array) Insert(key float64, payload uint64) bool {
 	default:
 		// Full despite the density check (tiny nodes): force an expansion.
 		a.Expand()
-		if a.PlaceModelBased(key, payload, 0, a.Cap()) == leafbase.NeedRoom {
+		if a.PlaceModelBased(key, payload) == leafbase.NeedRoom {
 			panic("gapped: insert failed after expansion")
 		}
 		return true

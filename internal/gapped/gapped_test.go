@@ -50,6 +50,34 @@ func TestBulkLoadAndLookup(t *testing.T) {
 	}
 }
 
+// TestRetrainsCountRebuildsOnly: building a node is not a retrain;
+// each rebuild of an existing node's model — in place or copy-on-write
+// — counts exactly one.
+func TestRetrainsCountRebuildsOnly(t *testing.T) {
+	keys, payloads := buildSorted(2000, 3)
+	a := NewFromSorted(keys, payloads, Config{})
+	retrains := func() uint64 { return a.BaseStats().Retrains }
+	if r := retrains(); r != 0 {
+		t.Fatalf("fresh node Retrains = %d, want 0", r)
+	}
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"Retrain", a.Retrain},
+		{"Expand", a.Expand},
+		{"RetrainCOW", func() { a = a.RetrainCOW() }},
+		{"MergeSortedCOW", func() { a, _ = a.MergeSortedCOW([]float64{-1}, []uint64{1}) }},
+		{"MergeSorted", func() { a.MergeSorted([]float64{-2}, []uint64{2}) }},
+	} {
+		before := retrains()
+		step.do()
+		if got := retrains() - before; got != 1 {
+			t.Fatalf("%s added %d retrains, want 1", step.name, got)
+		}
+	}
+}
+
 func TestBulkLoadDensity(t *testing.T) {
 	keys, payloads := buildSorted(10000, 2)
 	a := NewFromSorted(keys, payloads, Config{Density: 0.8})

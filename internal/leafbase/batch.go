@@ -58,8 +58,8 @@ func (b *Base) MergeSorted(keys []float64, payloads []uint64) (mk []float64, mp 
 
 // DeleteSortedNoRepack removes every present key of a non-decreasing
 // batch, returning how many were removed. It never contracts the node;
-// layouts wrap it and apply their contraction policy once per batch
-// instead of once per key.
+// the gapped array wraps it and applies its contraction policy once per
+// batch instead of once per key.
 func (b *Base) DeleteSortedNoRepack(keys []float64) int {
 	n := 0
 	for _, k := range keys {

@@ -1,5 +1,5 @@
-// Package leafbase implements the machinery shared by ALEX's two data
-// node layouts (Gapped Array, §3.3.1, and Packed Memory Array, §3.3.2):
+// Package leafbase implements the storage core of ALEX's data node, the
+// Gapped Array of §3.3.1:
 //
 //   - a key array with gaps, where every gap slot duplicates the key of
 //     the closest occupied slot to its right (trailing gaps hold +Inf),
@@ -13,9 +13,11 @@
 //   - gap-making by shifting toward the closest gap (Alg 1), with shift
 //     accounting for the Fig 8 experiment.
 //
-// The concrete layouts embed Base and supply their own growth policy:
-// the gapped array grows by 1/d when its density d is reached, the PMA
-// doubles and additionally rebalances windows under density bounds.
+// The gapped array (internal/gapped) embeds Base and supplies the
+// growth policy: it grows by 1/d when its density d is reached and
+// contracts when deletes leave it sparse. The paper's second layout,
+// the Packed Memory Array (§3.3.2), is not implemented; see
+// docs/design-decisions.md.
 package leafbase
 
 import (
@@ -30,16 +32,16 @@ import (
 
 // Stats counts the work a data node performs, in units the paper reports:
 // Shifts is the number of element moves caused by inserts (Fig 8),
-// Expands counts node expansions, Rebalances counts PMA window
-// redistributions, Retrains counts model retrainings.
+// Expands counts node expansions, Retrains counts model rebuilds of an
+// existing node (expand, contract, cost-model retrain, merge rebuild) —
+// building a fresh node at bulk load, split or recovery is not one.
 type Stats struct {
-	Shifts     uint64
-	Expands    uint64
-	Contracts  uint64
-	Rebalances uint64
-	Retrains   uint64
-	Inserts    uint64
-	Deletes    uint64
+	Shifts    uint64
+	Expands   uint64
+	Contracts uint64
+	Retrains  uint64
+	Inserts   uint64
+	Deletes   uint64
 }
 
 // Add accumulates other into s.
@@ -47,7 +49,6 @@ func (s *Stats) Add(other *Stats) {
 	s.Shifts += other.Shifts
 	s.Expands += other.Expands
 	s.Contracts += other.Contracts
-	s.Rebalances += other.Rebalances
 	s.Retrains += other.Retrains
 	s.Inserts += other.Inserts
 	s.Deletes += other.Deletes
@@ -122,11 +123,9 @@ type Base struct {
 	// model anyway). It is exact after BuildFromSorted and widens
 	// monotonically between rebuilds: a gap-claim insert folds in the
 	// new key's error, a shift insert re-predicts exactly the slots the
-	// shift moved (an O(shift) pass riding on the O(shift) copy), a PMA
-	// window redistribution folds in the window's recomputed errors,
-	// and deletes leave positions — and so the bound — untouched.
-	// Probes use it to pick their search
-	// strategy (see Find) and the tree's cost model reads it through
+	// shift moved (an O(shift) pass riding on the O(shift) copy), and
+	// deletes leave positions — and so the bound — untouched. Probes use
+	// it to pick their search strategy (see Find) and the tree's cost model reads it through
 	// ErrorBound/RetrainAdvised. Meaningful only while HasModel.
 	ErrBound int
 
@@ -373,14 +372,6 @@ func (b *Base) noteInsertErr(slot, pred int) {
 	}
 }
 
-// notePlacedErr widens the error bound for an element re-placed at slot
-// during a window redistribution; no-op for model-less nodes.
-func (b *Base) notePlacedErr(slot int, key float64) {
-	if b.HasModel {
-		b.noteInsertErr(slot, b.predictFast(key))
-	}
-}
-
 // Update overwrites the payload of an existing key.
 func (b *Base) Update(key float64, payload uint64) bool {
 	if i := b.Find(key); i >= 0 {
@@ -487,8 +478,7 @@ const (
 	Inserted InsertResult = iota
 	// Duplicate means the key already existed; its payload was overwritten.
 	Duplicate
-	// NeedRoom means no slot could be found without violating the
-	// caller's constraints (node full, or PMA density bound hit).
+	// NeedRoom means the node is full.
 	NeedRoom
 )
 
@@ -499,13 +489,10 @@ const (
 //   - overwrite the payload if the key exists (Duplicate);
 //   - if the range contains a gap, claim the gap closest to the predicted
 //     position and repair gap fills;
-//   - otherwise create a gap by shifting toward the closest gap
-//     (maxShiftLo/maxShiftHi bound how far the shift may reach; pass
-//     0 and Cap() for the gapped array's node-wide shifts).
+//   - otherwise create a gap by shifting toward the closest gap.
 //
-// NeedRoom is returned when the node is full or the shift window contains
-// no gap.
-func (b *Base) PlaceModelBased(key float64, payload uint64, maxShiftLo, maxShiftHi int) InsertResult {
+// NeedRoom is returned when the node is full.
+func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
 	cap := len(b.Keys)
 	lo := b.LowerBoundSlot(key)
 	if lo < cap && b.Keys[lo] == key {
@@ -565,35 +552,23 @@ func (b *Base) PlaceModelBased(key float64, payload uint64, maxShiftLo, maxShift
 	}
 
 	// lo is occupied (or past the end): make a gap by shifting toward the
-	// closest gap within the caller's window.
-	return b.insertWithShift(key, payload, lo, maxShiftLo, maxShiftHi)
+	// closest gap.
+	b.insertWithShift(key, payload, lo)
+	return Inserted
 }
 
 // insertWithShift creates a gap at the lower-bound position lo by shifting
-// elements toward the nearest gap found within [maxShiftLo, maxShiftHi).
-func (b *Base) insertWithShift(key float64, payload uint64, lo, maxShiftLo, maxShiftHi int) InsertResult {
-	cap := len(b.Keys)
-	if maxShiftLo < 0 {
-		maxShiftLo = 0
-	}
-	if maxShiftHi > cap {
-		maxShiftHi = cap
-	}
+// elements toward the nearest gap. The node must have at least one gap.
+func (b *Base) insertWithShift(key float64, payload uint64, lo int) {
 	gapL, gapR := -1, -1
-	if lo-1 >= maxShiftLo {
-		if g := b.Occ.PrevClear(lo - 1); g >= maxShiftLo {
-			gapL = g
-		}
+	if lo > 0 {
+		gapL = b.Occ.PrevClear(lo - 1)
 	}
-	if lo < maxShiftHi {
-		if g := b.Occ.NextClear(lo); g >= 0 && g < maxShiftHi {
-			gapR = g
-		}
+	if lo < len(b.Keys) {
+		gapR = b.Occ.NextClear(lo)
 	}
 	var at, runLo, runHi int
 	switch {
-	case gapL < 0 && gapR < 0:
-		return NeedRoom
 	case gapR >= 0 && (gapL < 0 || gapR-lo <= lo-gapL):
 		// Shift [lo, gapR-1] right by one; insert at lo.
 		copy(b.Keys[lo+1:gapR+1], b.Keys[lo:gapR])
@@ -627,7 +602,6 @@ func (b *Base) insertWithShift(key float64, payload uint64, lo, maxShiftLo, maxS
 		b.noteInsertErr(at, b.predictFast(key))
 		b.noteRunErr(runLo, runHi)
 	}
-	return Inserted
 }
 
 // noteRunErr folds the exact prediction errors of the occupied slots in
@@ -674,15 +648,17 @@ func (b *Base) Delete(key float64) bool {
 // to the new capacity (Alg 3), and re-inserts every element at its
 // predicted position in sorted order, falling forward to the next free
 // slot on collision. Nodes below the cold-start threshold are spread
-// uniformly instead and keep no model.
+// uniformly instead and keep no model. It counts one retrain.
 func (b *Base) RebuildModelBased(newCapacity int) {
 	keys, payloads := b.Collect(nil, nil)
 	b.BuildFromSorted(keys, payloads, newCapacity)
+	b.Stats.Retrains++
 }
 
 // BuildFromSorted initializes the node from sorted unique keys with the
 // given capacity, using model-based placement. It is used at bulk load,
 // after expansions, and when splitting distributes keys to new leaves.
+// It counts no retrain: callers that rebuild an existing node count it.
 func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) {
 	n := len(keys)
 	if capacity < n {
@@ -696,7 +672,6 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 		return
 	}
 	b.NumKeys = n
-	b.Stats.Retrains++
 
 	if n >= MinModelKeys {
 		b.Model = linmodel.Train(keys).Scale(float64(capacity) / float64(n))
@@ -713,7 +688,7 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 			pos = b.Model.PredictClamped(keys[i], capacity)
 			pred = pos
 		} else {
-			// Cold start: spread uniformly like a PMA rebalance.
+			// Cold start: spread uniformly.
 			pos = i * capacity / n
 		}
 		if pos <= last {
@@ -738,183 +713,10 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 	b.rebuildErr = b.ErrBound
 }
 
-// RedistributeUniform places the node's elements uniformly spaced across
-// [winLo, winHi) — the PMA window rebalance. Elements outside the window
-// are untouched. extraKey/extraPayload, when insertExtra is true, are
-// merged into the redistribution (this is how a PMA insert that triggers
-// a rebalance places its new element). Returns the number of element
-// moves performed.
-func (b *Base) RedistributeUniform(winLo, winHi int, insertExtra bool, extraKey float64, extraPayload uint64) int {
-	keys := make([]float64, 0, winHi-winLo+1)
-	payloads := make([]uint64, 0, winHi-winLo+1)
-	for i := b.Occ.NextSet(winLo); i >= 0 && i < winHi; i = b.Occ.NextSet(i + 1) {
-		keys = append(keys, b.Keys[i])
-		payloads = append(payloads, b.Payloads[i])
-		b.Occ.Clear(i)
-	}
-	if insertExtra {
-		at := search.LowerBound(keys, extraKey)
-		keys = append(keys, 0)
-		payloads = append(payloads, 0)
-		copy(keys[at+1:], keys[at:])
-		copy(payloads[at+1:], payloads[at:])
-		keys[at] = extraKey
-		payloads[at] = extraPayload
-		b.NumKeys++
-		b.Stats.Inserts++
-		b.sinceRebuild++
-	}
-	return b.finishRedistribute(winLo, winHi, keys, payloads)
-}
-
-// RedistributeWeighted is RedistributeUniform with per-segment gap
-// weighting — the primitive behind the *adaptive* PMA of Bender & Hu
-// that §7 proposes against sequential-insert pathologies. The window
-// [winLo, winHi) is divided into segments of segSize slots; segment s
-// receives a share of the window's gaps proportional to weights[s]
-// (weights index is relative to the window). Hot segments (recent
-// insertion targets) should get larger weights so subsequent inserts
-// find local gaps. Elements keep their global sort order; within a
-// segment they are spread uniformly. Returns the number of moves.
-func (b *Base) RedistributeWeighted(winLo, winHi, segSize int, weights []float64, insertExtra bool, extraKey float64, extraPayload uint64) int {
-	keys := make([]float64, 0, winHi-winLo+1)
-	payloads := make([]uint64, 0, winHi-winLo+1)
-	for i := b.Occ.NextSet(winLo); i >= 0 && i < winHi; i = b.Occ.NextSet(i + 1) {
-		keys = append(keys, b.Keys[i])
-		payloads = append(payloads, b.Payloads[i])
-		b.Occ.Clear(i)
-	}
-	if insertExtra {
-		at := search.LowerBound(keys, extraKey)
-		keys = append(keys, 0)
-		payloads = append(payloads, 0)
-		copy(keys[at+1:], keys[at:])
-		copy(payloads[at+1:], payloads[at:])
-		keys[at] = extraKey
-		payloads[at] = extraPayload
-		b.NumKeys++
-		b.Stats.Inserts++
-		b.sinceRebuild++
-	}
-	m := len(keys)
-	w := winHi - winLo
-	numSegs := (w + segSize - 1) / segSize
-	if numSegs < 1 || m > w {
-		// Degenerate; fall back to uniform spacing.
-		return b.finishRedistribute(winLo, winHi, keys, payloads)
-	}
-	// Gap budget per segment ∝ weight; element count = segSize - gaps.
-	totalGaps := w - m
-	var sumW float64
-	for s := 0; s < numSegs; s++ {
-		if s < len(weights) && weights[s] > 0 {
-			sumW += weights[s]
-		} else {
-			sumW += 1
-		}
-	}
-	perSeg := make([]int, numSegs)
-	assigned := 0
-	for s := 0; s < numSegs; s++ {
-		wt := 1.0
-		if s < len(weights) && weights[s] > 0 {
-			wt = weights[s]
-		}
-		segLen := segSize
-		if winLo+(s+1)*segSize > winHi {
-			segLen = winHi - winLo - s*segSize
-		}
-		gaps := int(float64(totalGaps) * wt / sumW)
-		if gaps > segLen {
-			gaps = segLen
-		}
-		perSeg[s] = segLen - gaps
-		assigned += perSeg[s]
-	}
-	// Fix rounding so exactly m elements are placed: trim or grow from
-	// the left, respecting segment capacities.
-	for s := 0; assigned > m && s < numSegs; s++ {
-		take := assigned - m
-		if take > perSeg[s] {
-			take = perSeg[s]
-		}
-		perSeg[s] -= take
-		assigned -= take
-	}
-	for s := 0; assigned < m && s < numSegs; s++ {
-		segLen := segSize
-		if winLo+(s+1)*segSize > winHi {
-			segLen = winHi - winLo - s*segSize
-		}
-		room := segLen - perSeg[s]
-		add := m - assigned
-		if add > room {
-			add = room
-		}
-		perSeg[s] += add
-		assigned += add
-	}
-	if assigned != m {
-		return b.finishRedistribute(winLo, winHi, keys, payloads)
-	}
-	// Place each segment's contiguous run uniformly within the segment.
-	idx := 0
-	for s := 0; s < numSegs; s++ {
-		segLo := winLo + s*segSize
-		segLen := segSize
-		if segLo+segLen > winHi {
-			segLen = winHi - segLo
-		}
-		cnt := perSeg[s]
-		for j := 0; j < cnt; j++ {
-			pos := segLo + j*segLen/cnt
-			b.Keys[pos] = keys[idx]
-			b.Payloads[pos] = payloads[idx]
-			b.Occ.Set(pos)
-			b.notePlacedErr(pos, keys[idx])
-			idx++
-		}
-	}
-	b.repairFillsWindow(winLo, winHi)
-	b.Stats.Shifts += uint64(m)
-	return m
-}
-
-// finishRedistribute places already-collected elements uniformly — the
-// shared tail of the uniform path and the weighted path's fallback.
-// Re-placed elements fold their fresh prediction errors into the
-// bound; elements outside the window did not move, so the old bound
-// still covers them and the max with the window's errors stays a true
-// upper bound.
-func (b *Base) finishRedistribute(winLo, winHi int, keys []float64, payloads []uint64) int {
-	m := len(keys)
-	w := winHi - winLo
-	for i := 0; i < m; i++ {
-		pos := winLo + i*w/m
-		b.Keys[pos] = keys[i]
-		b.Payloads[pos] = payloads[i]
-		b.Occ.Set(pos)
-		b.notePlacedErr(pos, keys[i])
-	}
-	b.repairFillsWindow(winLo, winHi)
-	b.Stats.Shifts += uint64(m)
-	return m
-}
-
 // repairAllFills rewrites every gap to duplicate its closest right key.
 func (b *Base) repairAllFills() {
-	b.repairFillsWindow(0, len(b.Keys))
-}
-
-// repairFillsWindow rewrites gap fills in [winLo, winHi). The carry value
-// for gaps at the window's right edge is taken from the first occupied
-// slot at or after winHi.
-func (b *Base) repairFillsWindow(winLo, winHi int) {
 	fill := math.Inf(1)
-	if n := b.Occ.NextSet(winHi); n >= 0 {
-		fill = b.Keys[n]
-	}
-	for i := winHi - 1; i >= winLo; i-- {
+	for i := len(b.Keys) - 1; i >= 0; i-- {
 		if b.Occ.Test(i) {
 			fill = b.Keys[i]
 		} else {

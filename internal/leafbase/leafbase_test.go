@@ -126,7 +126,7 @@ func TestGapFillInvariantAfterDeletes(t *testing.T) {
 
 func TestPlaceModelBasedDuplicate(t *testing.T) {
 	b := buildBase(seq(50, 1), 100)
-	if r := b.PlaceModelBased(25, 999, 0, b.Cap()); r != Duplicate {
+	if r := b.PlaceModelBased(25, 999); r != Duplicate {
 		t.Fatalf("result = %v, want Duplicate", r)
 	}
 	if v, _ := b.Lookup(25); v != 999 {
@@ -140,7 +140,7 @@ func TestPlaceModelBasedDuplicate(t *testing.T) {
 func TestPlaceModelBasedNeedRoomWhenFull(t *testing.T) {
 	keys := seq(10, 1)
 	b := buildBase(keys, 10) // zero gaps
-	if r := b.PlaceModelBased(3.5, 1, 0, b.Cap()); r != NeedRoom {
+	if r := b.PlaceModelBased(3.5, 1); r != NeedRoom {
 		t.Fatalf("result = %v, want NeedRoom on full node", r)
 	}
 }
@@ -152,13 +152,13 @@ func TestInsertBeyondMaxWithFullTail(t *testing.T) {
 	b.BuildFromSorted(seq(9, 1), make([]uint64, 9), 10)
 	// Force the last slot occupied: insert keys until the tail fills.
 	for i := 0; i < 40 && !b.Occ.Test(b.Cap()-1); i++ {
-		b.PlaceModelBased(100+float64(i), 1, 0, b.Cap())
+		b.PlaceModelBased(100+float64(i), 1)
 	}
 	if !b.Occ.Test(b.Cap()-1) || b.Num() >= b.Cap() {
 		t.Skip("could not arrange occupied tail with a free gap")
 	}
 	max, _ := b.MaxKey()
-	if r := b.PlaceModelBased(max+1, 7, 0, b.Cap()); r != Inserted {
+	if r := b.PlaceModelBased(max+1, 7); r != Inserted {
 		t.Fatalf("result = %v", r)
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -169,9 +169,9 @@ func TestInsertBeyondMaxWithFullTail(t *testing.T) {
 	}
 }
 
-func TestShiftWindowRespected(t *testing.T) {
-	// With the shift window restricted to a segment that is full, the
-	// placement must report NeedRoom rather than shifting outside.
+func TestShiftReachesNearestGap(t *testing.T) {
+	// A key whose insertion range lies inside a full run must shift the
+	// run toward the nearest gap, however far it is.
 	b := &Base{}
 	b.Init(16)
 	// Occupy slots 0..7 with keys 0..7 (a full "segment"), leave 8..15 free.
@@ -185,53 +185,16 @@ func TestShiftWindowRespected(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Key 3.5's lower bound is slot 4, inside the full window [0, 8).
-	if r := b.PlaceModelBased(3.5, 9, 0, 8); r != NeedRoom {
-		t.Fatalf("result = %v, want NeedRoom for full window", r)
-	}
-	// With the window widened the shift succeeds (gap at slot 8).
-	if r := b.PlaceModelBased(3.5, 9, 0, 16); r != Inserted {
+	// Key 3.5's lower bound is slot 4, inside the full run [0, 8): keys
+	// 4..7 shift right into the gap at slot 8.
+	if r := b.PlaceModelBased(3.5, 9); r != Inserted {
 		t.Fatalf("result = %v, want Inserted", r)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRedistributeUniform(t *testing.T) {
-	b := &Base{}
-	b.Init(32)
-	// Pack 8 keys at the left edge.
-	for i := 0; i < 8; i++ {
-		b.Keys[i] = float64(i * 10)
-		b.Payloads[i] = uint64(i)
-		b.Occ.Set(i)
-		b.NumKeys++
-	}
-	b.repairAllFills()
-	moved := b.RedistributeUniform(0, 32, false, 0, 0)
-	if moved != 8 {
-		t.Fatalf("moved = %d", moved)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Uniform spacing: slots 0,4,8,...,28.
-	for i := 0; i < 8; i++ {
-		if !b.Occ.Test(i * 4) {
-			t.Fatalf("slot %d not occupied after redistribution", i*4)
-		}
-	}
-	// Redistribution with an inserted extra key keeps order.
-	b.RedistributeUniform(0, 32, true, 35, 99)
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := b.Lookup(35); !ok || v != 99 {
-		t.Fatalf("extra key lookup = %v,%v", v, ok)
-	}
-	if b.Num() != 9 {
-		t.Fatalf("Num = %d", b.Num())
+	if b.Keys[4] != 3.5 || b.Keys[8] != 7 || b.Stats.Shifts != 4 {
+		t.Fatalf("slot 4 = %v, slot 8 = %v, shifts = %d; want 3.5, 7, 4", b.Keys[4], b.Keys[8], b.Stats.Shifts)
 	}
 }
 
@@ -267,7 +230,7 @@ func TestCollectIntoProvidedSlices(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Shifts: 1, Expands: 2, Contracts: 3, Rebalances: 4, Retrains: 5, Inserts: 6, Deletes: 7}
+	a := Stats{Shifts: 1, Expands: 2, Contracts: 3, Retrains: 5, Inserts: 6, Deletes: 7}
 	var b Stats
 	b.Add(&a)
 	b.Add(&a)
@@ -318,8 +281,13 @@ func TestUpdateAndAccessors(t *testing.T) {
 	if b.Update(49, 1) {
 		t.Fatal("update absent")
 	}
-	if b.BaseStats() == nil || b.BaseStats().Retrains == 0 {
-		t.Fatal("BaseStats")
+	// Building a node is not a retrain; rebuilding an existing one is.
+	if b.BaseStats() == nil || b.BaseStats().Retrains != 0 {
+		t.Fatal("BaseStats: a fresh build counted a retrain")
+	}
+	b.RebuildModelBased(b.Cap())
+	if r := b.BaseStats().Retrains; r != 1 {
+		t.Fatalf("Retrains after one rebuild = %d, want 1", r)
 	}
 	if d := b.Density(); d != 0.5 {
 		t.Fatalf("Density = %v", d)
@@ -364,124 +332,6 @@ func TestRebuildModelBasedPreservesContents(t *testing.T) {
 	}
 	if _, ok := b.Lookup(33); !ok {
 		t.Fatal("key lost in rebuild")
-	}
-}
-
-func TestRedistributeWeightedSkewsGaps(t *testing.T) {
-	b := &Base{}
-	b.Init(64)
-	// 32 keys packed left.
-	for i := 0; i < 32; i++ {
-		b.Keys[i] = float64(i)
-		b.Payloads[i] = uint64(i)
-		b.Occ.Set(i)
-		b.NumKeys++
-	}
-	b.repairAllFills()
-	// 4 segments of 16; give segment 3 (rightmost) 10x gap weight.
-	weights := []float64{1, 1, 1, 10}
-	moved := b.RedistributeWeighted(0, 64, 16, weights, false, 0, 0)
-	if moved != 32 {
-		t.Fatalf("moved = %d", moved)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The hot segment must hold far fewer elements than the cold ones.
-	hot := b.Occ.CountRange(48, 64)
-	cold := b.Occ.CountRange(0, 16)
-	if hot >= cold {
-		t.Fatalf("hot segment %d elements, cold %d; weighting had no effect", hot, cold)
-	}
-	// All keys still present and ordered.
-	count := 0
-	b.ScanFrom(math.Inf(-1), func(k float64, v uint64) bool { count++; return true })
-	if count != 32 {
-		t.Fatalf("scan count %d", count)
-	}
-}
-
-func TestRedistributeWeightedWithExtraKey(t *testing.T) {
-	b := &Base{}
-	b.Init(32)
-	for i := 0; i < 10; i++ {
-		b.Keys[i] = float64(i * 10)
-		b.Payloads[i] = uint64(i)
-		b.Occ.Set(i)
-		b.NumKeys++
-	}
-	b.repairAllFills()
-	b.RedistributeWeighted(0, 32, 8, []float64{1, 2, 3, 4}, true, 55, 99)
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := b.Lookup(55); !ok || v != 99 {
-		t.Fatalf("extra key = %v,%v", v, ok)
-	}
-	if b.Num() != 11 {
-		t.Fatalf("Num = %d", b.Num())
-	}
-}
-
-func TestRedistributeWeightedDegenerateFallsBack(t *testing.T) {
-	b := &Base{}
-	b.Init(16)
-	for i := 0; i < 8; i++ {
-		b.Keys[i] = float64(i)
-		b.Payloads[i] = uint64(i)
-		b.Occ.Set(i)
-		b.NumKeys++
-	}
-	b.repairAllFills()
-	// Nil weights: every segment defaults to weight 1 (uniform-ish).
-	b.RedistributeWeighted(0, 16, 4, nil, false, 0, 0)
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Num() != 8 {
-		t.Fatalf("Num = %d", b.Num())
-	}
-}
-
-// Property: RedistributeWeighted preserves contents and invariants for
-// arbitrary weights.
-func TestQuickRedistributeWeighted(t *testing.T) {
-	f := func(rawKeys []uint16, w1, w2, w3, w4 uint8) bool {
-		seen := make(map[float64]bool)
-		var keys []float64
-		for _, v := range rawKeys {
-			k := float64(v)
-			if !seen[k] && len(keys) < 48 {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		b := &Base{}
-		b.BuildFromSorted(keys, make([]uint64, len(keys)), 64)
-		weights := []float64{float64(w1) + 1, float64(w2) + 1, float64(w3) + 1, float64(w4) + 1}
-		b.RedistributeWeighted(0, 64, 16, weights, false, 0, 0)
-		if err := b.CheckInvariants(); err != nil {
-			t.Log(err)
-			return false
-		}
-		got, _ := b.Collect(nil, nil)
-		if len(got) != len(keys) {
-			return false
-		}
-		for i := range keys {
-			if got[i] != keys[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
