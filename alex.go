@@ -301,8 +301,8 @@ func (ix *Index) LeafSizes() []int { return ix.t.LeafSizes() }
 
 // Rebuild reconstructs the whole index from its current contents
 // through the cost-optimal fanout-tree planner, for the static RMI
-// too. Incremental growth — merges, splits, expansions
-// — optimizes one node at a time; Rebuild re-plans globally, restoring
+// too. Incremental growth — merges, splits, expansions — optimizes
+// one node at a time; Rebuild re-plans globally, restoring
 // bulk-load-quality structure after the tree has drifted far from its
 // loaded shape (it is what recovery uses after replaying a large log
 // tail). The old structure is retired through the retire hook.

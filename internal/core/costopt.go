@@ -49,8 +49,9 @@ func (t *Tree) buildFromPlan(keys []float64, payloads []uint64, pl *costmodel.Pl
 }
 
 // RebuildCostOptimal rebuilds the whole tree through the fanout-tree
-// planner, for the static RMI too: the recovery path calls it after heavy coalesced replay left the tree shaped by
-// incremental merges rather than by a plan. The replacement is built
+// planner, for the static RMI too: the recovery path calls it after
+// heavy coalesced replay left the tree shaped by incremental merges
+// rather than by a plan. The replacement is built
 // completely off to the side and published with two atomic stores
 // (root, then head), so concurrent lock-free readers observe either
 // the old intact tree or the new one; the old root is retired for
