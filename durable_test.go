@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	alex "repro"
+	"repro/internal/faultfs"
 )
 
 func openDurable(t *testing.T, dir string, opts ...alex.DurableOption) *alex.DurableIndex {
@@ -398,5 +400,96 @@ func TestDurableChunkedBatch(t *testing.T) {
 		if v, ok := re.Get(keys[i]); !ok || v != pays[i] {
 			t.Fatalf("Get(%v) = %d,%v", keys[i], v, ok)
 		}
+	}
+}
+
+// snapshotGateFS passes every operation through to the real filesystem
+// but counts snapshot temp-file creations, and makes each snapshot
+// file's Sync announce itself on synced and then wait until release is
+// closed, so a test can hold a checkpoint in flight while it writes.
+type snapshotGateFS struct {
+	faultfs.FS
+	created atomic.Int32
+	synced  chan struct{}
+	release chan struct{}
+}
+
+func (g *snapshotGateFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != "snapshot.alex.tmp" {
+		return f, err
+	}
+	g.created.Add(1)
+	return gatedFile{File: f, g: g}, nil
+}
+
+type gatedFile struct {
+	faultfs.File
+	g *snapshotGateFS
+}
+
+func (f gatedFile) Sync() error {
+	f.g.synced <- struct{}{}
+	<-f.g.release
+	return f.File.Sync()
+}
+
+// waitCheckpoints polls until d has completed want checkpoints.
+func waitCheckpoints(t *testing.T, d *alex.DurableIndex, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.Checkpoints() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d checkpoints, want %d; err=%v", d.Checkpoints(), want, d.CheckpointError())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDurableCheckpointTriggerNotStale: writes made while a checkpoint
+// is in flight re-arm the trigger, but once that checkpoint discharges
+// the records it covered, fewer than checkpointEvery remain, so the
+// queued request must not start a second checkpoint back to back. An
+// explicit TriggerCheckpoint still runs with nothing dirty.
+func TestDurableCheckpointTriggerNotStale(t *testing.T) {
+	const every = 64
+	g := &snapshotGateFS{FS: faultfs.OS, synced: make(chan struct{}, 8), release: make(chan struct{})}
+	d := openDurable(t, t.TempDir(), alex.WithCheckpointEvery(every), alex.WithFsyncPolicy(alex.FsyncNever),
+		alex.WithDurableShards(2), alex.WithFilesystem(g))
+	defer d.Close()
+	next := 0
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			d.Insert(float64(next), uint64(next))
+			next++
+		}
+	}
+
+	write(every)
+	select {
+	case <-g.synced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint 1 never reached its snapshot fsync")
+	}
+	write(every / 2) // lands in the new segment; re-arms the trigger
+	close(g.release)
+	waitCheckpoints(t, d, 1)
+	time.Sleep(500 * time.Millisecond)
+	if n, c := g.created.Load(), d.Checkpoints(); n != 1 || c != 1 {
+		t.Fatalf("after a checkpoint that left %d of %d records dirty: %d snapshot files, %d checkpoints; want 1 and 1",
+			every/2, every, n, c)
+	}
+
+	write(every / 2)
+	waitCheckpoints(t, d, 2)
+	time.Sleep(500 * time.Millisecond)
+	if n, c := g.created.Load(), d.Checkpoints(); n != 2 || c != 2 {
+		t.Fatalf("%d more records: %d snapshot files, %d checkpoints; want 2 and 2", every/2, n, c)
+	}
+
+	d.TriggerCheckpoint() // nothing dirty: an explicit request still runs
+	waitCheckpoints(t, d, 3)
+	if err := d.CheckpointError(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -220,3 +220,80 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 		})
 	}
 }
+
+// TestReopenPlansShape: a tree grown by split-on-insert
+// appends has a shape no planner would choose; reopening its snapshot
+// must re-plan it to the height a fresh bulk load of the same pairs
+// gets, for the single index and for the sharded one.
+func TestReopenPlansShape(t *testing.T) {
+	const loaded, appended = 1 << 16, 1 << 18
+	keys := make([]float64, loaded+appended)
+	for i := range keys {
+		keys[i] = float64(i) * 0.5
+	}
+	grow := func(ins func(float64, uint64) bool) {
+		for i := loaded; i < len(keys); i++ {
+			ins(keys[i], uint64(i))
+		}
+	}
+
+	t.Run("Index", func(t *testing.T) {
+		ix := LoadSorted(keys[:loaded], nil, WithSplitOnInsert())
+		grow(ix.Insert)
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrom(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, ps := collect(back.Scan)
+		fresh := LoadSorted(ks, ps, WithSplitOnInsert())
+		if got, want := back.Stats().Height, fresh.Stats().Height; got != want {
+			t.Fatalf("reopened height %d (grown %d), fresh bulk load %d", got, ix.Stats().Height, want)
+		}
+		if back.Len() != len(keys) {
+			t.Fatalf("Len %d, want %d", back.Len(), len(keys))
+		}
+	})
+
+	t.Run("Sharded", func(t *testing.T) {
+		s, err := LoadSharded(2, keys[:loaded], nil, WithSplitOnInsert())
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow(s.Insert)
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFromSharded(&buf, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, ps := collect(back.Scan)
+		fresh, err := LoadSharded(2, ks, ps, WithSplitOnInsert())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := back.Stats().Height, fresh.Stats().Height; got != want {
+			t.Fatalf("reopened height %d (grown %d), fresh bulk load %d", got, s.Stats().Height, want)
+		}
+		if back.Len() != len(keys) {
+			t.Fatalf("Len %d, want %d", back.Len(), len(keys))
+		}
+	})
+}
+
+// collect gathers everything a Scan method visits.
+func collect(scan func(float64, func(float64, uint64) bool) int) ([]float64, []uint64) {
+	var ks []float64
+	var ps []uint64
+	scan(math.Inf(-1), func(k float64, v uint64) bool {
+		ks = append(ks, k)
+		ps = append(ps, v)
+		return true
+	})
+	return ks, ps
+}
