@@ -86,9 +86,13 @@ type DurableIndex struct {
 	// wins; never cleared.
 	degradedErr atomic.Pointer[error]
 
-	ckptCh chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
+	// ckptCh carries checkpoint requests to the background loop;
+	// ckptForced marks a pending request as explicit (TriggerCheckpoint,
+	// the open-time trigger), which runs even with nothing dirty.
+	ckptCh     chan struct{}
+	ckptForced atomic.Bool
+	done       chan struct{}
+	wg         sync.WaitGroup
 
 	followerRegistry // connected replication followers, for lag reporting
 }
@@ -833,10 +837,16 @@ func (d *DurableIndex) writeSnapshot() error {
 }
 
 // TriggerCheckpoint asks the background checkpointer for a checkpoint
-// without waiting for it (the BGSAVE path). A checkpoint already in
-// flight absorbs the request; errors are retrievable via
-// CheckpointError.
+// without waiting for it (the BGSAVE path). It runs even if no record
+// is dirty; a request already queued absorbs it. Errors are
+// retrievable via CheckpointError.
 func (d *DurableIndex) TriggerCheckpoint() {
+	d.ckptForced.Store(true)
+	d.requestCheckpoint()
+}
+
+// requestCheckpoint queues a request unless one is already queued.
+func (d *DurableIndex) requestCheckpoint() {
 	select {
 	case d.ckptCh <- struct{}{}:
 	default:
@@ -861,11 +871,16 @@ func (d *DurableIndex) noteRecords(n int) {
 		return
 	}
 	if d.dirty.Add(int64(n)) >= int64(d.cfg.checkpointEvery) {
-		d.TriggerCheckpoint()
+		d.requestCheckpoint()
 	}
 }
 
-// checkpointLoop runs requested checkpoints off the mutation path.
+// checkpointLoop runs requested checkpoints off the mutation path. An
+// automatic request is re-checked when it is dequeued: writes made
+// during a checkpoint queue one, but that checkpoint may have
+// discharged the clock below checkpointEvery, and running it anyway
+// would checkpoint back to back. A failed checkpoint leaves the clock
+// untouched, so the next automatic request retries it.
 func (d *DurableIndex) checkpointLoop() {
 	defer d.wg.Done()
 	for {
@@ -873,6 +888,9 @@ func (d *DurableIndex) checkpointLoop() {
 		case <-d.done:
 			return
 		case <-d.ckptCh:
+			if !d.ckptForced.Swap(false) && d.dirty.Load() < int64(d.cfg.checkpointEvery) {
+				continue
+			}
 			if err := d.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
 				d.ckptErr.Store(&err)
 			}
