@@ -312,14 +312,16 @@ func (ix *Index) Rebuild() { ix.t.RebuildCostOptimal() }
 // it is meant for tests and debugging and costs a full traversal.
 func (ix *Index) CheckInvariants() error { return ix.t.CheckInvariants() }
 
-// WriteTo serializes the index (configuration, tree shape, elements) to
-// w. Data nodes are re-bulk-loaded on read, so a round trip restores an
-// equivalent freshly-loaded index with identical contents.
+// WriteTo serializes the index to w as a sorted run: its configuration,
+// then every element in key order, then a checksum (docs/formats.md).
+// The shape is not saved: ReadFrom bulk-loads the elements, so a round
+// trip restores a freshly planned index with identical contents.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.t.WriteTo(w) }
 
-// ReadFrom deserializes an index written with WriteTo. Corrupt or
-// truncated streams are rejected with an error wrapping
-// core.ErrBadFormat.
+// ReadFrom deserializes an index written with WriteTo — by this build
+// or, in the older shape-carrying format, by an earlier one — by
+// bulk-loading its elements. Corrupt or truncated streams are rejected
+// with an error wrapping core.ErrBadFormat.
 func ReadFrom(r io.Reader) (*Index, error) {
 	t, err := core.ReadFrom(r)
 	if err != nil {

@@ -13,14 +13,15 @@ import (
 	"testing"
 )
 
-// The snapshot format is frozen by fixtures under testdata/formats:
+// The snapshot formats are frozen by fixtures under testdata/formats:
 // each NAME.alex is a WriteTo stream and NAME.txt its expected contents,
 // one "%.17g payload" line per element in key order. Run
 //
 //	go test -run TestSnapshotFormatFixtures -update .
 //
-// to rewrite the fixtures this build can still produce; the others are
-// bytes written by older builds, kept to prove they still open.
+// to rewrite the fixtures this build can still produce (d, the current
+// format); a, b and c are version-1 bytes written by older builds, kept
+// to prove they still open.
 var updateFixtures = flag.Bool("update", false, "rewrite testdata/formats fixtures")
 
 const fixtureDir = "testdata/formats"
@@ -72,15 +73,17 @@ func loadFixture(t *testing.T, keys, edges []float64, opts ...Option) *Index {
 	return ix
 }
 
-// writableFixtures builds the fixtures this build writes on -update.
-// b_pma_split (a packed-memory-array tree grown by split-on-insert,
-// header layout word 1) and c_heuristic_fanout8 (a fixed-fanout bulk
-// load at inner fanout 8) were written by builds that still had those
-// code paths; they stay as frozen bytes.
+// writableFixtures builds the fixtures this build writes on -update:
+// d_sorted_run is the current format's stream of a_gapped's contents.
+// The version-1 fixtures stay as frozen bytes: a_gapped (a default
+// tree), b_pma_split (a packed-memory-array tree grown by
+// split-on-insert, header layout word 1) and c_heuristic_fanout8 (a
+// fixed-fanout bulk load at inner fanout 8) were written by builds that
+// still had those code paths.
 func writableFixtures(t *testing.T) map[string]*Index {
 	keys, edges := fixtureKeys()
 	return map[string]*Index{
-		"a_gapped": loadFixture(t, keys, edges, WithMaxKeysPerLeaf(64)),
+		"d_sorted_run": loadFixture(t, keys, edges, WithMaxKeysPerLeaf(64)),
 	}
 }
 
@@ -96,7 +99,7 @@ func fixtureText(ix *Index) string {
 }
 
 // walkSnapshot counts the inner nodes, leaves and repeated child
-// pointers of a WriteTo stream, and returns the layout header word.
+// pointers of a version-1 stream, and returns the layout header word.
 func walkSnapshot(t *testing.T, b []byte) (layout uint64, inner, leaves, repeats int) {
 	t.Helper()
 	word := func() uint64 {
@@ -141,6 +144,21 @@ func walkSnapshot(t *testing.T, b []byte) (layout uint64, inner, leaves, repeats
 	return layout, inner, leaves, repeats
 }
 
+// checkSortedRun checks the framing of a version-2 stream: magic,
+// eight header words, count 16-byte records, a 4-byte checksum.
+func checkSortedRun(t *testing.T, b []byte, count int) {
+	t.Helper()
+	if string(b[:8]) != "ALEXGO02" {
+		t.Fatalf("magic %q", b[:8])
+	}
+	if got := binary.LittleEndian.Uint64(b[8+7*8:]); got != uint64(count) {
+		t.Fatalf("header count %d, want %d", got, count)
+	}
+	if want := 8 + 8*8 + 16*count + 4; len(b) != want {
+		t.Fatalf("%d bytes, want %d", len(b), want)
+	}
+}
+
 func TestSnapshotFormatFixtures(t *testing.T) {
 	if *updateFixtures {
 		if err := os.MkdirAll(fixtureDir, 0o755); err != nil {
@@ -163,11 +181,13 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
+		v1     bool
 		layout uint64
 	}{
-		{"a_gapped", 0},
-		{"b_pma_split", 1},
-		{"c_heuristic_fanout8", 0},
+		{"a_gapped", true, 0},
+		{"b_pma_split", true, 1},
+		{"c_heuristic_fanout8", true, 0},
+		{"d_sorted_run", false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := filepath.Join(fixtureDir, tc.name)
@@ -182,10 +202,15 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 			if len(raw) > 16<<10 {
 				t.Fatalf("fixture is %d bytes, want <= 16 KiB", len(raw))
 			}
-			layout, inner, leaves, repeats := walkSnapshot(t, raw)
-			if layout != tc.layout || inner == 0 || leaves < 2 || repeats == 0 {
-				t.Fatalf("fixture shape: layout %d, %d inner, %d leaves, %d repeated children; want layout %d and some of each",
-					layout, inner, leaves, repeats, tc.layout)
+			lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+			if tc.v1 {
+				layout, inner, leaves, repeats := walkSnapshot(t, raw)
+				if layout != tc.layout || inner == 0 || leaves < 2 || repeats == 0 {
+					t.Fatalf("fixture shape: layout %d, %d inner, %d leaves, %d repeated children; want layout %d and some of each",
+						layout, inner, leaves, repeats, tc.layout)
+				}
+			} else {
+				checkSortedRun(t, raw, len(lines))
 			}
 
 			ix, err := ReadFrom(bytes.NewReader(raw))
@@ -198,7 +223,6 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 			if got := fixtureText(ix); got != string(want) {
 				t.Fatalf("decoded contents differ from %s.txt", base)
 			}
-			lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 			if ix.Len() != len(lines) {
 				t.Fatalf("Len %d, want %d", ix.Len(), len(lines))
 			}
@@ -208,13 +232,19 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 				}
 			}
 
-			if tc.name == "a_gapped" {
+			// Re-encoding writes the current format: byte for byte d,
+			// from d itself and from a, which holds the same contents.
+			if tc.name == "a_gapped" || tc.name == "d_sorted_run" {
 				var buf bytes.Buffer
 				if _, err := ix.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(buf.Bytes(), raw) {
-					t.Fatal("re-encoding the decoded fixture changed its bytes")
+				d, err := os.ReadFile(filepath.Join(fixtureDir, "d_sorted_run.alex"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), d) {
+					t.Fatal("re-encoding the decoded fixture does not give d_sorted_run's bytes")
 				}
 			}
 		})

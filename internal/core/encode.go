@@ -5,73 +5,129 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
-	"repro/internal/linmodel"
+	"repro/internal/gapped"
 )
 
-// Serialization format (little-endian):
+// Serialization format, version 2 (written; all words little-endian,
+// byte tables in docs/formats.md):
 //
-//	magic "ALEXGO01" (8 bytes)
-//	config: layout, rmi, maxKeysPerLeaf, innerFanout, splitFanout,
-//	        splitOnInsert, numLeafModels, density, payloadBytes
-//	        (layout and innerFanout are retired words: written as 0 and
-//	        32, read and ignored — older builds wrote layout 1 for the
-//	        removed Packed Memory Array, whose leaves load as gapped
-//	        arrays like any other)
-//	count (uint64)
-//	tree: pre-order node stream — tag byte (0 inner, 1 leaf);
-//	      inner: model (2 float64), child count, then children with
-//	      run-length encoding of repeated pointers (repeat tag 2);
-//	      leaf: element count, keys, payloads (capacities and models are
-//	      rebuilt on load via the normal bulk-load path, so a saved
-//	      index round-trips to an equivalent — not bit-identical —
-//	      structure with identical contents and routing).
+//	magic "ALEXGO02" (8 bytes)
+//	header: rmi, maxKeysPerLeaf, splitFanout, splitOnInsert,
+//	        numLeafModels, density (float64 bits), payloadBytes, count
+//	        (eight uint64 words)
+//	records: count pairs in strictly ascending key order, each a key
+//	        (float64 bits) then its payload (16 bytes)
+//	trailer: CRC-32C (Castagnoli, the WAL's polynomial) of every byte
+//	        before it (uint32)
 //
-// Leaves are rebuilt rather than copied verbatim: gap placement is a
-// performance property, not a logical one, and rebuilding restores the
-// freshly-bulk-loaded layout (density d², model-based placement).
+// The stream is a sorted run: it carries the configuration and the
+// contents, not the shape. ReadFrom bulk-loads the pairs through the
+// planner, which is the one place that decides a node's shape, so a
+// tree degraded by incremental growth reopens planned.
+//
+// Version 1 ("ALEXGO01", read only) wrote the tree's shape: ten header
+// words (a retired layout word, rmi, maxKeysPerLeaf, a retired inner
+// fanout word, splitFanout, splitOnInsert, numLeafModels, density,
+// payloadBytes, count), then a pre-order node stream of tags — 0 inner
+// (two model words, a child count, the children), 1 leaf (an element
+// count, the keys, the payloads), 2 a repeat of the previous child. The
+// reader keeps only the leaf runs, in stream order, and plans from them
+// like version 2.
 
-const magic = "ALEXGO01"
+const (
+	magicV1 = "ALEXGO01"
+	magicV2 = "ALEXGO02"
+)
 
+// Version-1 node tags.
 const (
 	tagInner  = 0
 	tagLeaf   = 1
 	tagRepeat = 2
 )
 
-// Values written into the retired header words.
-const (
-	retiredLayoutWord = 0
-	retiredFanoutWord = 32
-)
-
 // ErrBadFormat is returned when decoding fails structurally.
 var ErrBadFormat = errors.New("core: bad index encoding")
 
-// WriteTo serializes the index. It returns the number of bytes written.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	bw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := bw.Write([]byte(magic)); err != nil {
-		return bw.n, err
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunkPairs bounds the pairs the encoder buffers and the decoder reads
+// at once. The decoder grows its runs chunk by chunk, so a corrupt count
+// fails on a short read before it can size a large allocation.
+const chunkPairs = 1 << 12
+
+// Encoder streams pairs in the version-2 format. Feed it the data nodes
+// in ascending key order; it buffers one chunk at a time, so encoding
+// allocates nothing proportional to the element count. Errors are
+// sticky and reported by Close.
+type Encoder struct {
+	w    io.Writer
+	buf  []byte
+	crc  uint32
+	n    int64
+	want int
+	got  int
+	err  error
+}
+
+// NewEncoder starts a stream of count pairs with configuration cfg,
+// whose unset fields are written as their defaults.
+func NewEncoder(w io.Writer, cfg Config, count int) *Encoder {
+	cfg = cfg.withDefaults()
+	e := &Encoder{w: w, buf: make([]byte, 0, 16*chunkPairs), want: count}
+	e.buf = append(e.buf, magicV2...)
+	for _, v := range [...]uint64{
+		uint64(cfg.RMI), uint64(cfg.MaxKeysPerLeaf), uint64(cfg.SplitFanout), boolU64(cfg.SplitOnInsert),
+		uint64(cfg.NumLeafModels), math.Float64bits(cfg.Density), uint64(cfg.PayloadBytes), uint64(count),
+	} {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
-	cfg := t.cfg
-	hdr := []uint64{
-		retiredLayoutWord, uint64(cfg.RMI), uint64(cfg.MaxKeysPerLeaf),
-		retiredFanoutWord, uint64(cfg.SplitFanout), boolU64(cfg.SplitOnInsert),
-		uint64(cfg.NumLeafModels), math.Float64bits(cfg.Density), uint64(cfg.PayloadBytes),
-		uint64(t.count),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return bw.n, err
+	return e
+}
+
+// WriteLeaf appends every element of d, which must hold keys above all
+// keys written so far.
+func (e *Encoder) WriteLeaf(d *gapped.Array) {
+	for i := d.NextSlot(-1); i >= 0; i = d.NextSlot(i) {
+		if len(e.buf)+16 > cap(e.buf) {
+			e.flush()
 		}
+		k, v := d.At(i)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(k))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+		e.got++
 	}
-	if err := t.writeNode(bw, t.root.Load()); err != nil {
-		return bw.n, err
+}
+
+// flush writes the buffered bytes and folds them into the checksum.
+func (e *Encoder) flush() {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, castagnoli, e.buf)
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
 	}
-	return bw.n, bw.w.(*bufio.Writer).Flush()
+	e.buf = e.buf[:0]
+}
+
+// Close checks that the stream holds the count its header promised,
+// writes the trailer, and returns the number of bytes written.
+func (e *Encoder) Close() (int64, error) {
+	if e.err == nil && e.got != e.want {
+		e.err = fmt.Errorf("core: encoded %d pairs, header promised %d", e.got, e.want)
+	}
+	e.flush()
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.crc)
+	if e.err == nil {
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
+	}
+	return e.n, e.err
 }
 
 func boolU64(b bool) uint64 {
@@ -81,216 +137,220 @@ func boolU64(b bool) uint64 {
 	return 0
 }
 
-func (t *Tree) writeNode(w io.Writer, n *node) error {
-	if n == nil {
-		return fmt.Errorf("%w: nil node", ErrBadFormat)
+// WriteTo serializes the index by streaming its leaf chain. It returns
+// the number of bytes written.
+func (t *Tree) WriteTo(w io.Writer) (int64, error) {
+	e := NewEncoder(w, t.cfg, t.count)
+	for l := t.head.Load(); l != nil; l = l.next.Load() {
+		e.WriteLeaf(l.data())
 	}
-	if !n.isLeaf() {
-		if err := binary.Write(w, binary.LittleEndian, [3]uint64{
-			tagInner, math.Float64bits(n.model.Slope), math.Float64bits(n.model.Intercept),
-		}); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(n.children))); err != nil {
-			return err
-		}
-		var last *node
-		for i := range n.children {
-			ch := n.children[i].Load()
-			if ch == last {
-				if err := binary.Write(w, binary.LittleEndian, uint64(tagRepeat)); err != nil {
-					return err
-				}
-				continue
-			}
-			last = ch
-			if err := t.writeNode(w, ch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	keys, payloads := n.data().Collect(nil, nil)
-	if err := binary.Write(w, binary.LittleEndian, [2]uint64{tagLeaf, uint64(len(keys))}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, keys); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, payloads)
+	return e.Close()
 }
 
-// ReadFrom deserializes an index previously written with WriteTo.
+// ReadFrom deserializes an index written with WriteTo (either version)
+// by bulk-loading its pairs.
 func ReadFrom(r io.Reader) (*Tree, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if string(m[:]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, m)
-	}
-	var hdr [10]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
-		}
-	}
-	cfg := Config{
-		RMI:            RMIMode(hdr[1]),
-		MaxKeysPerLeaf: int(hdr[2]),
-		SplitFanout:    int(hdr[4]),
-		SplitOnInsert:  hdr[5] != 0,
-		NumLeafModels:  int(hdr[6]),
-		Density:        math.Float64frombits(hdr[7]),
-		PayloadBytes:   int(hdr[8]),
-	}
-	if hdr[0] > 1 {
-		return nil, fmt.Errorf("%w: layout %d", ErrBadFormat, hdr[0])
-	}
-	if cfg.RMI != AdaptiveRMI && cfg.RMI != StaticRMI {
-		return nil, fmt.Errorf("%w: rmi %d", ErrBadFormat, hdr[1])
-	}
-	count := int(hdr[9])
-	if count < 0 || count > 1<<40 {
-		return nil, fmt.Errorf("%w: count %d", ErrBadFormat, count)
-	}
-	t := &Tree{cfg: cfg.withDefaults()}
-	root, total, err := t.readNode(br, count)
+	cfg, keys, payloads, err := ReadPairs(r)
 	if err != nil {
 		return nil, err
 	}
-	if total != count {
-		return nil, fmt.Errorf("%w: leaf totals %d != header count %d", ErrBadFormat, total, count)
-	}
-	t.root.Store(root)
-	t.count = count
-	t.linkLeaves()
-	if t.head.Load() == nil {
-		// Completely empty tree serialized as one empty leaf.
-		if root.isLeaf() {
-			t.head.Store(root)
-		} else {
-			return nil, fmt.Errorf("%w: no leaves", ErrBadFormat)
-		}
-	}
-	return t, nil
+	return BulkLoadSorted(keys, payloads, cfg), nil
 }
 
-// readNode reconstructs one subtree. budget bounds total elements to the
-// header's count so corrupt streams cannot allocate unboundedly.
-func (t *Tree) readNode(r io.Reader, budget int) (*node, int, error) {
-	var tag uint64
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return nil, 0, fmt.Errorf("%w: missing node tag: %v", ErrBadFormat, err)
+// ReadPairs decodes a stream written with WriteTo (either version) into
+// its configuration and its pairs in ascending key order, building no
+// tree. Every structural fault — bad magic or header, a short stream, a
+// count that disagrees with the records, keys that are not finite and
+// strictly ascending, a checksum mismatch — wraps ErrBadFormat.
+func ReadPairs(r io.Reader) (Config, []float64, []uint64, error) {
+	d := decoder{r: bufio.NewReader(r)}
+	magic := d.bytes(8, "magic")
+	if d.err == nil {
+		switch string(magic) {
+		case magicV2:
+			d.readV2()
+		case magicV1:
+			d.readV1()
+		default:
+			d.fail("bad magic %q", magic)
+		}
 	}
-	return t.readTagged(r, tag, budget)
+	if d.err != nil {
+		return Config{}, nil, nil, d.err
+	}
+	return d.cfg, d.keys, d.payloads, nil
 }
 
-// readTagged reconstructs a node whose tag has already been consumed.
-func (t *Tree) readTagged(r io.Reader, tag uint64, budget int) (*node, int, error) {
-	switch tag {
-	case tagInner:
-		var bits [2]uint64
-		if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-			return nil, 0, fmt.Errorf("%w: short inner model: %v", ErrBadFormat, err)
-		}
-		var nc uint64
-		if err := binary.Read(r, binary.LittleEndian, &nc); err != nil {
-			return nil, 0, fmt.Errorf("%w: short child count: %v", ErrBadFormat, err)
-		}
-		if nc == 0 || nc > 1<<24 {
-			return nil, 0, fmt.Errorf("%w: child count %d", ErrBadFormat, nc)
-		}
-		var model linmodel.Model
-		model.Slope = math.Float64frombits(bits[0])
-		model.Intercept = math.Float64frombits(bits[1])
-		n := newInner(model, int(nc))
-		total := 0
-		var last *node
-		for i := range n.children {
-			var ctag uint64
-			if err := binary.Read(r, binary.LittleEndian, &ctag); err != nil {
-				return nil, 0, fmt.Errorf("%w: short child tag: %v", ErrBadFormat, err)
-			}
-			if ctag == tagRepeat {
-				if last == nil {
-					return nil, 0, fmt.Errorf("%w: repeat with no prior child", ErrBadFormat)
-				}
-				n.children[i].Store(last)
-				continue
-			}
-			ch, sub, err := t.readTagged(r, ctag, budget-total)
-			if err != nil {
-				return nil, 0, err
-			}
-			n.children[i].Store(ch)
-			last = ch
-			total += sub
-		}
-		return n, total, nil
-	case tagLeaf:
-		return t.readLeafBody(r, budget)
-	default:
-		return nil, 0, fmt.Errorf("%w: tag %d", ErrBadFormat, tag)
+// decoder accumulates one stream's pairs. Its first error is sticky.
+type decoder struct {
+	r        *bufio.Reader
+	buf      []byte
+	crc      uint32 // over every byte read, for the version-2 trailer
+	cfg      Config
+	count    uint64
+	keys     []float64
+	payloads []uint64
+	leafKeys []float64 // version 1: the current leaf's keys
+	err      error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFormat}, args...)...)
 	}
 }
 
-func (t *Tree) readLeafBody(r io.Reader, budget int) (*node, int, error) {
-	var cnt uint64
-	if err := binary.Read(r, binary.LittleEndian, &cnt); err != nil {
-		return nil, 0, fmt.Errorf("%w: short leaf count: %v", ErrBadFormat, err)
+// bytes reads the next n bytes (n <= 16*chunkPairs) into a reused buffer.
+func (d *decoder) bytes(n int, what string) []byte {
+	if d.err != nil {
+		return nil
 	}
-	if budget < 0 || cnt > uint64(budget) {
-		return nil, 0, fmt.Errorf("%w: leaf count %d exceeds remaining budget %d", ErrBadFormat, cnt, budget)
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n, max(n, 64))
 	}
-	// Read in bounded chunks so a corrupt count fails on EOF before a
-	// single huge allocation can happen.
-	const chunk = 1 << 16
-	keys := make([]float64, 0, minU64(cnt, chunk))
-	for read := uint64(0); read < cnt; {
-		n := minU64(cnt-read, chunk)
-		buf := make([]float64, n)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, 0, fmt.Errorf("%w: short leaf keys: %v", ErrBadFormat, err)
-		}
-		keys = append(keys, buf...)
-		read += n
+	b := d.buf[:n]
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		d.fail("short %s: %v", what, err)
+		return nil
 	}
-	payloads := make([]uint64, 0, minU64(cnt, chunk))
-	for read := uint64(0); read < cnt; {
-		n := minU64(cnt-read, chunk)
-		buf := make([]uint64, n)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, 0, fmt.Errorf("%w: short leaf payloads: %v", ErrBadFormat, err)
-		}
-		payloads = append(payloads, buf...)
-		read += n
-	}
-	prev := math.Inf(-1)
-	for _, k := range keys {
-		if math.IsNaN(k) || math.IsInf(k, 0) || k <= prev {
-			return nil, 0, fmt.Errorf("%w: leaf keys not strictly increasing and finite", ErrBadFormat)
-		}
-		prev = k
-	}
-	return t.newLeaf(keys, payloads), int(cnt), nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
+	d.crc = crc32.Update(d.crc, castagnoli, b)
 	return b
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+func (d *decoder) word(what string) uint64 {
+	if b := d.bytes(8, what); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+func (d *decoder) words(n int, what string) []uint64 {
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = d.word(what)
+	}
+	return w
+}
+
+// header validates the configuration and count words. The bounds keep a
+// corrupt header from steering the planner into a huge allocation or a
+// division by zero; no build's options produce values outside them
+// except absurd explicit ones (a density below the overhead option's
+// 0.05 floor, billions of keys per leaf).
+func (d *decoder) header(rmi, maxKeys, splitFanout, splitOnInsert, leafModels, density, payloadBytes, count uint64) {
+	const maxWord = 1 << 31
+	d.cfg = Config{
+		RMI:            RMIMode(rmi),
+		MaxKeysPerLeaf: int(maxKeys),
+		SplitFanout:    int(splitFanout),
+		SplitOnInsert:  splitOnInsert != 0,
+		NumLeafModels:  int(leafModels),
+		Density:        math.Float64frombits(density),
+		PayloadBytes:   int(payloadBytes),
+	}
+	d.count = count
+	switch {
+	case d.cfg.RMI != AdaptiveRMI && d.cfg.RMI != StaticRMI:
+		d.fail("rmi %d", rmi)
+	case maxKeys > maxWord || maxKeys == 1 || splitFanout > maxWord || payloadBytes > maxWord:
+		d.fail("header words %d %d %d", maxKeys, splitFanout, payloadBytes)
+	case leafModels > max(count, 1<<16):
+		d.fail("%d leaf models for %d keys", leafModels, count)
+	case math.IsNaN(d.cfg.Density) || (d.cfg.Density > 0 && d.cfg.Density < 0.05):
+		d.fail("density %v", d.cfg.Density)
+	case count > 1<<40:
+		d.fail("count %d", count)
+	}
+	d.keys = make([]float64, 0, min(count, chunkPairs))
+	d.payloads = make([]uint64, 0, min(count, chunkPairs))
+}
+
+// add appends one pair, enforcing finite, strictly ascending keys.
+func (d *decoder) add(k float64, v uint64) {
+	if n := len(d.keys); math.IsNaN(k) || math.IsInf(k, 0) || (n > 0 && !(k > d.keys[n-1])) {
+		d.fail("key %v at %d is not finite and above its predecessor", k, n)
+		return
+	}
+	d.keys = append(d.keys, k)
+	d.payloads = append(d.payloads, v)
+}
+
+func (d *decoder) readV2() {
+	h := d.words(8, "header")
+	d.header(h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7])
+	for left := d.count; left > 0 && d.err == nil; {
+		n := min(left, chunkPairs)
+		b := d.bytes(16*int(n), "records")
+		for i := 0; i+16 <= len(b) && d.err == nil; i += 16 {
+			d.add(math.Float64frombits(binary.LittleEndian.Uint64(b[i:])), binary.LittleEndian.Uint64(b[i+8:]))
+		}
+		left -= n
+	}
+	want := d.crc
+	if b := d.bytes(4, "trailer"); b != nil && binary.LittleEndian.Uint32(b) != want {
+		d.fail("checksum mismatch")
+	}
+}
+
+// readV1 extracts the leaf runs of a version-1 node stream: inner
+// models and repeat tags are skipped, the leaves' pairs concatenated.
+func (d *decoder) readV1() {
+	h := d.words(10, "header")
+	if h[0] > 1 {
+		d.fail("layout %d", h[0])
+	}
+	d.header(h[1], h[2], h[4], h[5], h[6], h[7], h[8], h[9])
+	// pending counts the tags still owed (the root, then each inner
+	// node's children); first marks a tag with no earlier sibling,
+	// which a repeat cannot refer back to.
+	first := true
+	for pending := uint64(1); pending > 0 && d.err == nil; pending-- {
+		switch tag := d.word("node tag"); {
+		case d.err != nil:
+		case tag == tagInner:
+			d.word("inner model")
+			d.word("inner model")
+			if nc := d.word("child count"); d.err == nil && (nc == 0 || nc > 1<<24) {
+				d.fail("child count %d", nc)
+			} else {
+				pending += nc
+			}
+			first = true
+			continue
+		case tag == tagLeaf:
+			d.readV1Leaf()
+		case tag == tagRepeat && !first:
+		default:
+			d.fail("tag %d", tag)
+		}
+		first = false
+	}
+	if d.err == nil && uint64(len(d.keys)) != d.count {
+		d.fail("leaf totals %d != header count %d", len(d.keys), d.count)
+	}
+}
+
+// readV1Leaf appends one leaf's run: its keys, then its payloads.
+func (d *decoder) readV1Leaf() {
+	cnt := d.word("leaf count")
+	if have := uint64(len(d.keys)); d.err == nil && cnt > d.count-have {
+		d.fail("leaf count %d exceeds the header's remaining %d", cnt, d.count-have)
+	}
+	d.leafKeys = d.leafKeys[:0]
+	for left := cnt; left > 0 && d.err == nil; {
+		n := min(left, chunkPairs)
+		b := d.bytes(8*int(n), "leaf keys")
+		for i := 0; i+8 <= len(b); i += 8 {
+			d.leafKeys = append(d.leafKeys, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+		}
+		left -= n
+	}
+	for read := 0; read < len(d.leafKeys) && d.err == nil; {
+		n := min(len(d.leafKeys)-read, chunkPairs)
+		b := d.bytes(8*n, "leaf payloads")
+		for i := 0; i+8 <= len(b); i += 8 {
+			d.add(d.leafKeys[read], binary.LittleEndian.Uint64(b[i:]))
+			read++
+		}
+	}
 }

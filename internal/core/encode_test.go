@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -99,7 +104,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC battered remains of a stream"),
-		append([]byte(magic), make([]byte, 10)...), // truncated header
+		append([]byte(magicV2), make([]byte, 10)...), // truncated header
 	}
 	for i, data := range cases {
 		if _, err := ReadFrom(bytes.NewReader(data)); err == nil {
@@ -189,4 +194,156 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// v2Stream encodes n keys 1..n with payloads 10*key.
+func v2Stream(t *testing.T, n int) []byte {
+	t.Helper()
+	keys := make([]float64, n)
+	payloads := make([]uint64, n)
+	for i := range keys {
+		keys[i] = float64(i + 1)
+		payloads[i] = uint64(10 * (i + 1))
+	}
+	var buf bytes.Buffer
+	if _, err := BulkLoadSorted(keys, payloads, Config{MaxKeysPerLeaf: 16}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reseal rewrites a version-2 stream's checksum trailer over its
+// current bytes, so a test can corrupt the body and still pass the CRC.
+func reseal(b []byte) []byte {
+	n := len(b) - 4
+	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], crc32.MakeTable(crc32.Castagnoli)))
+	return b
+}
+
+// Version-2 offsets: magic, eight header words (count last), records.
+const (
+	v2CountOff   = 8 + 7*8
+	v2RecordsOff = 8 + 8*8
+)
+
+func TestDecodeRejectsCorruptSortedRun(t *testing.T) {
+	const n = 100
+	record := func(b []byte, i int) []byte { return b[v2RecordsOff+16*i:] }
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte) []byte
+	}{
+		{"flipped payload byte", func(b []byte) []byte {
+			record(b, 7)[12] ^= 0x40
+			return b
+		}},
+		{"flipped trailer byte", func(b []byte) []byte {
+			b[len(b)-1] ^= 1
+			return b
+		}},
+		{"truncated trailer", func(b []byte) []byte { return b[:len(b)-2] }},
+		{"truncated records", func(b []byte) []byte { return b[:v2RecordsOff+16*n/2] }},
+		{"count above records", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[v2CountOff:], n+1)
+			return reseal(b)
+		}},
+		{"count below records", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[v2CountOff:], n-1)
+			return reseal(b)
+		}},
+		{"keys out of order", func(b []byte) []byte {
+			a, c := record(b, 3)[:8], record(b, 4)[:8]
+			var tmp [8]byte
+			copy(tmp[:], a)
+			copy(a, c)
+			copy(c, tmp[:])
+			return reseal(b)
+		}},
+		{"duplicate key", func(b []byte) []byte {
+			copy(record(b, 4)[:8], record(b, 3)[:8])
+			return reseal(b)
+		}},
+		{"NaN key", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(record(b, 50), math.Float64bits(math.NaN()))
+			return reseal(b)
+		}},
+		{"infinite key", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(record(b, n-1), math.Float64bits(math.Inf(1)))
+			return reseal(b)
+		}},
+		{"bad rmi", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], 7)
+			return reseal(b)
+		}},
+		{"NaN density", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8+5*8:], math.Float64bits(math.NaN()))
+			return reseal(b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.mutate(v2Stream(t, n))
+			if _, err := ReadFrom(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("got %v, want ErrBadFormat", err)
+			}
+		})
+	}
+	if _, err := ReadFrom(bytes.NewReader(v2Stream(t, n))); err != nil {
+		t.Fatalf("unmutated stream: %v", err)
+	}
+}
+
+// TestDecodeHugeCountAllocatesLittle: a header that claims 2^40 pairs
+// over an empty body fails on the short read, having allocated one
+// chunk, not an array sized from the claim.
+func TestDecodeHugeCountAllocatesLittle(t *testing.T) {
+	b := v2Stream(t, 0)
+	binary.LittleEndian.PutUint64(b[v2CountOff:], 1<<40)
+	b = reseal(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("got %v, want ErrBadFormat", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding allocated %d bytes", grew)
+	}
+}
+
+// fixtureStreams returns the frozen snapshot fixtures (both formats).
+func fixtureStreams(tb testing.TB) [][]byte {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "formats", "*.alex"))
+	if err != nil || len(paths) < 4 {
+		tb.Fatalf("fixtures: %v %v", paths, err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzReadFrom: any input either decodes to a tree that passes its
+// invariant check, or is rejected with ErrBadFormat; it never panics.
+func FuzzReadFrom(f *testing.F) {
+	for _, b := range fixtureStreams(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadFrom(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("error does not wrap ErrBadFormat: %v", err)
+			}
+			return
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

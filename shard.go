@@ -1027,10 +1027,8 @@ func (s *ShardedIndex) Retrains() uint64 { return s.retrains.Load() }
 // the single-Index format (configuration included), so ReadFrom /
 // ReadFromSharded can restore it with any shard count. It cuts a
 // Snapshot — the exclusive gate is held only for the O(#leaves)
-// sealing pass — and does all O(n) collection, bulk-loading and
-// streaming from the sealed view, concurrently with writers. (The
-// pre-snapshot implementation collected under lockAllRead, stalling
-// every writer for the whole O(n) copy.)
+// sealing pass — and streams the sealed leaves of every shard in key
+// order, concurrently with writers.
 func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 	snap := s.Snapshot()
 	defer snap.Close()
@@ -1040,23 +1038,17 @@ func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
 // ReadFromSharded deserializes an index written by Index.WriteTo or
 // ShardedIndex.WriteTo into a sharded index (shards <= 0 selects
 // GOMAXPROCS). The configuration comes from the stream, exactly as
-// with ReadFrom.
+// with ReadFrom. The decoded pairs are partitioned at their quantiles
+// and each shard is bulk-loaded from its slice, as LoadSharded does.
 func ReadFromSharded(r io.Reader, shards int) (*ShardedIndex, error) {
-	ix, err := ReadFrom(r)
+	cfg, keys, vals, err := core.ReadPairs(r)
 	if err != nil {
 		return nil, err
 	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	keys := make([]float64, 0, ix.Len())
-	vals := make([]uint64, 0, ix.Len())
-	ix.Scan(math.Inf(-1), func(k float64, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return true
-	})
-	s := &ShardedIndex{cfg: ix.t.Config(), em: epoch.New()}
+	s := &ShardedIndex{cfg: cfg, em: epoch.New()}
 	s.tab.Store(s.hookTable(buildShardTable(shards, keys, vals, s.cfg)))
 	s.lastdistSize.Store(int64(len(keys)))
 	return s, nil

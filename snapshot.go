@@ -133,16 +133,17 @@ func (s *IndexSnapshot) Collect() ([]float64, []uint64) {
 
 // WriteTo serializes the snapshot in the single-Index format
 // (configuration included), so ReadFrom / ReadFromSharded restore it
-// with any backend. The elements are bulk-loaded into a temporary
-// single tree before streaming — the format embeds exact inner-node
-// models, so there is no way to emit it without building the tree —
-// which transiently costs roughly the snapshot's data size in extra
-// memory. Unlike the pre-snapshot implementation, none of that work
-// happens under any index lock.
+// with any backend and any shard count. It streams the pairs straight
+// from the sealed leaves of each part, in key order: no copy of the
+// contents, no tree, and no index lock — writers proceed meanwhile.
 func (s *IndexSnapshot) WriteTo(w io.Writer) (int64, error) {
-	keys, vals := s.Collect()
-	merged := &Index{t: core.BulkLoadSorted(keys, vals, s.cfg)}
-	return merged.WriteTo(w)
+	e := core.NewEncoder(w, s.cfg, s.count)
+	for _, p := range s.parts {
+		for _, d := range p.Leaves {
+			e.WriteLeaf(d)
+		}
+	}
+	return e.Close()
 }
 
 // Close releases the snapshot's epoch pin. Idempotent; reads remain

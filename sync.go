@@ -358,13 +358,12 @@ func (s *SyncIndex) Snapshot() *IndexSnapshot {
 	return newIndexSnapshot(parts, s.idx.t.Config(), func() { s.em.Unpin(e) })
 }
 
-// WriteTo serializes a consistent snapshot of the index. Unlike the
-// pre-snapshot implementation, which held the read lock (blocking all
-// writers) for the whole O(n) serialization, it cuts a Snapshot —
-// briefly taking the write lock to seal — and streams from that, so
-// writers are blocked only for the cut. The stream re-bulk-loads on
-// read (exactly as documented on Index.WriteTo), so a round trip
-// restores an equivalent index with identical contents.
+// WriteTo serializes a consistent snapshot of the index. It cuts a
+// Snapshot — briefly taking the write lock to seal — and streams the
+// sealed leaves from that, so writers are blocked only for the cut. The
+// stream is bulk-loaded on read (exactly as documented on
+// Index.WriteTo), so a round trip restores a freshly planned index with
+// identical contents.
 func (s *SyncIndex) WriteTo(w io.Writer) (int64, error) {
 	snap := s.Snapshot()
 	defer snap.Close()
