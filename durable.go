@@ -217,7 +217,9 @@ func WithFsyncInterval(d time.Duration) DurableOption {
 // WithCheckpointEvery sets how many logged mutation records accumulate
 // before the background checkpointer snapshots the index and truncates
 // the log (default 1<<20; 0 disables automatic checkpoints — Checkpoint
-// and SAVE still work).
+// and SAVE still work). The count is checked again when the checkpointer
+// picks a request up, so records logged during one checkpoint start the
+// next only once they reach n themselves.
 func WithCheckpointEvery(n int) DurableOption {
 	return func(c *durableConfig) { c.checkpointEvery = n }
 }
@@ -732,11 +734,13 @@ func (d *DurableIndex) Flush() error {
 }
 
 // Checkpoint synchronously serializes the index to a fresh snapshot and
-// truncates the WAL segments the snapshot covers. Mutations continue
-// concurrently (they land in the new segment, which is replayed over
-// the snapshot on recovery; replay is idempotent, so overlap is
-// harmless). Safe to call at any time; concurrent checkpoints
-// serialize.
+// truncates the WAL segments the snapshot covers. The snapshot file is
+// streamed from an epoch-pinned IndexSnapshot's sealed leaves as one
+// sorted run (see IndexSnapshot.WriteTo), so it copies no contents and
+// builds no tree. Mutations continue concurrently (they land in the new
+// segment, which is replayed over the snapshot on recovery; replay is
+// idempotent, so overlap is harmless). Safe to call at any time;
+// concurrent checkpoints serialize.
 func (d *DurableIndex) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()

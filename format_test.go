@@ -327,3 +327,23 @@ func collect(scan func(float64, func(float64, uint64) bool) int) ([]float64, []u
 	})
 	return ks, ps
 }
+
+// TestDensityOptionSnapshotReopens: every density the options accept
+// survives a round trip, including one below the reader's lower bound
+// on the header's density word, which WithDensity raises to it.
+func TestDensityOptionSnapshotReopens(t *testing.T) {
+	for _, d := range []float64{0.001, 0.05, 0.5, 1} {
+		ix := LoadSorted([]float64{1, 2, 3, 4, 5}, nil, WithDensity(d))
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrom(&buf)
+		if err != nil {
+			t.Fatalf("WithDensity(%v): %v", d, err)
+		}
+		if back.Len() != 5 {
+			t.Fatalf("WithDensity(%v): Len %d", d, back.Len())
+		}
+	}
+}

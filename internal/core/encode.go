@@ -234,9 +234,8 @@ func (d *decoder) words(n int, what string) []uint64 {
 
 // header validates the configuration and count words. The bounds keep a
 // corrupt header from steering the planner into a huge allocation or a
-// division by zero; no build's options produce values outside them
-// except absurd explicit ones (a density below the overhead option's
-// 0.05 floor, billions of keys per leaf).
+// division by zero; the index options produce no value outside them
+// short of billions of keys per leaf.
 func (d *decoder) header(rmi, maxKeys, splitFanout, splitOnInsert, leafModels, density, payloadBytes, count uint64) {
 	const maxWord = 1 << 31
 	d.cfg = Config{
@@ -256,7 +255,7 @@ func (d *decoder) header(rmi, maxKeys, splitFanout, splitOnInsert, leafModels, d
 		d.fail("header words %d %d %d", maxKeys, splitFanout, payloadBytes)
 	case leafModels > max(count, 1<<16):
 		d.fail("%d leaf models for %d keys", leafModels, count)
-	case math.IsNaN(d.cfg.Density) || (d.cfg.Density > 0 && d.cfg.Density < 0.05):
+	case math.IsNaN(d.cfg.Density) || (d.cfg.Density > 0 && d.cfg.Density < gapped.MinDensity):
 		d.fail("density %v", d.cfg.Density)
 	case count > 1<<40:
 		d.fail("count %d", count)

@@ -77,16 +77,6 @@ func (s *Snapshot) ScanNInto(start float64, max int, keys []float64, payloads []
 	return keys, payloads
 }
 
-// Collect appends every element in key order to keys[:0] and
-// payloads[:0] and returns the filled slices.
-func (s *Snapshot) Collect(keys []float64, payloads []uint64) ([]float64, []uint64) {
-	keys, payloads = keys[:0], payloads[:0]
-	for _, d := range s.Leaves {
-		keys, payloads = d.Collect(keys, payloads)
-	}
-	return keys, payloads
-}
-
 // firstLeaf returns the index of the first leaf that can hold keys >=
 // start: leaves own disjoint ascending ranges, so it is the first
 // non-empty leaf whose max key is >= start (empty leaves before it

@@ -23,6 +23,11 @@ import (
 // cycle in [d², d] with d = 0.8, averaging ≈0.72 occupancy.
 const DefaultDensity = 0.8
 
+// MinDensity is the smallest density limit the index options produce. A
+// fresh node allocates n/d² slots, so below it the space overhead
+// (above 200×) stops being a tuning choice.
+const MinDensity = 0.05
+
 // minCapacity keeps degenerate nodes from thrashing expansions.
 const minCapacity = 4
 
@@ -64,8 +69,8 @@ func DensityForOverhead(overhead float64) float64 {
 	if d > 1 {
 		d = 1
 	}
-	if d < 0.05 {
-		d = 0.05
+	if d < MinDensity {
+		d = MinDensity
 	}
 	return d
 }

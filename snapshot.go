@@ -119,18 +119,6 @@ func (s *IndexSnapshot) ScanNInto(start float64, max int, keys []float64, payloa
 	return keys, payloads
 }
 
-// Collect returns every element in key order.
-func (s *IndexSnapshot) Collect() ([]float64, []uint64) {
-	keys := make([]float64, 0, s.count)
-	payloads := make([]uint64, 0, s.count)
-	for _, p := range s.parts {
-		pk, pv := p.Collect(nil, nil)
-		keys = append(keys, pk...)
-		payloads = append(payloads, pv...)
-	}
-	return keys, payloads
-}
-
 // WriteTo serializes the snapshot in the single-Index format
 // (configuration included), so ReadFrom / ReadFromSharded restore it
 // with any backend and any shard count. It streams the pairs straight
