@@ -109,15 +109,8 @@ func WithSplitFanout(n int) Option {
 }
 
 // WithDensity sets the gapped array's upper density limit d directly.
-// A positive d below gapped.MinDensity (0.05) is raised to it; 0 keeps
-// the default.
 func WithDensity(d float64) Option {
-	return func(c *core.Config) {
-		if d > 0 && d < gapped.MinDensity {
-			d = gapped.MinDensity
-		}
-		c.Density = d
-	}
+	return func(c *core.Config) { c.Density = d }
 }
 
 // WithSpaceOverhead sets the gapped array density from a target data

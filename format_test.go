@@ -329,8 +329,8 @@ func collect(scan func(float64, func(float64, uint64) bool) int) ([]float64, []u
 }
 
 // TestDensityOptionSnapshotReopens: every density the options accept
-// survives a round trip, including one below the reader's lower bound
-// on the header's density word, which WithDensity raises to it.
+// survives a round trip, including one below gapped.MinDensity, which
+// the reader raises to it.
 func TestDensityOptionSnapshotReopens(t *testing.T) {
 	for _, d := range []float64{0.001, 0.05, 0.5, 1} {
 		ix := LoadSorted([]float64{1, 2, 3, 4, 5}, nil, WithDensity(d))
@@ -344,6 +344,59 @@ func TestDensityOptionSnapshotReopens(t *testing.T) {
 		}
 		if back.Len() != 5 {
 			t.Fatalf("WithDensity(%v): Len %d", d, back.Len())
+		}
+	}
+}
+
+// TestDurableReopensEveryOptionValue: a durable index whose options put
+// a header word at the edge of what the reader plans from — more static
+// leaf models than keys, one key per leaf, a density below
+// gapped.MinDensity — checkpoints (truncating its log) and reopens
+// with identical contents.
+func TestDurableReopensEveryOptionValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"static 100000 models", []Option{WithStaticRMI(100000)}},
+		{"adaptive 1 key per leaf", []Option{WithMaxKeysPerLeaf(1)}},
+		{"static 1 key per leaf", []Option{WithStaticRMI(0), WithMaxKeysPerLeaf(1)}},
+		{"density 0.01", []Option{WithDensity(0.01)}},
+	} {
+		for _, backend := range []struct {
+			name string
+			opt  DurableOption
+		}{{"sharded", WithDurableShards(2)}, {"sync", WithSyncBackend()}} {
+			t.Run(tc.name+"/"+backend.name, func(t *testing.T) {
+				dir := t.TempDir()
+				d, err := OpenDurable(dir, WithIndexOptions(tc.opts...), backend.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const n = 1000
+				for i := 0; i < n; i++ {
+					d.Insert(float64(i)*0.75, uint64(i))
+				}
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				back, err := OpenDurable(dir, backend.opt)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer back.Close()
+				if back.Len() != n {
+					t.Fatalf("Len %d, want %d", back.Len(), n)
+				}
+				for i := 0; i < n; i++ {
+					if v, ok := back.Get(float64(i) * 0.75); !ok || v != uint64(i) {
+						t.Fatalf("Get(%v) = %d, %v", float64(i)*0.75, v, ok)
+					}
+				}
+			})
 		}
 	}
 }

@@ -418,7 +418,7 @@ func (t *Tree) buildStatic(keys []float64, payloads []uint64) *node {
 	n := len(keys)
 	m := t.cfg.NumLeafModels
 	if m <= 0 {
-		m = n / (t.cfg.MaxKeysPerLeaf / 2)
+		m = n / max(t.cfg.MaxKeysPerLeaf/2, 1)
 	}
 	if m < 1 {
 		m = 1

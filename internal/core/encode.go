@@ -232,32 +232,34 @@ func (d *decoder) words(n int, what string) []uint64 {
 	return w
 }
 
-// header validates the configuration and count words. The bounds keep a
-// corrupt header from steering the planner into a huge allocation or a
-// division by zero; the index options produce no value outside them
-// short of billions of keys per leaf.
+// header reads the configuration and count words. It accepts every
+// configuration the index options can set, so whatever WriteTo wrote
+// reopens. The words that size an allocation or enter the planner's
+// arithmetic are clamped instead of rejected: a density limit below
+// gapped.MinDensity is raised to it, the static RMI's leaf models are
+// capped at max(count, 2^16), and a leaf bound above the largest count
+// the reader accepts is lowered to that count, which no leaf can exceed.
 func (d *decoder) header(rmi, maxKeys, splitFanout, splitOnInsert, leafModels, density, payloadBytes, count uint64) {
-	const maxWord = 1 << 31
+	const maxCount = 1 << 40
 	d.cfg = Config{
 		RMI:            RMIMode(rmi),
-		MaxKeysPerLeaf: int(maxKeys),
+		MaxKeysPerLeaf: int(min(maxKeys, maxCount)),
 		SplitFanout:    int(splitFanout),
 		SplitOnInsert:  splitOnInsert != 0,
-		NumLeafModels:  int(leafModels),
+		NumLeafModels:  int(min(leafModels, max(count, 1<<16))),
 		Density:        math.Float64frombits(density),
 		PayloadBytes:   int(payloadBytes),
+	}
+	if d.cfg.Density > 0 && d.cfg.Density < gapped.MinDensity {
+		d.cfg.Density = gapped.MinDensity
 	}
 	d.count = count
 	switch {
 	case d.cfg.RMI != AdaptiveRMI && d.cfg.RMI != StaticRMI:
 		d.fail("rmi %d", rmi)
-	case maxKeys > maxWord || maxKeys == 1 || splitFanout > maxWord || payloadBytes > maxWord:
-		d.fail("header words %d %d %d", maxKeys, splitFanout, payloadBytes)
-	case leafModels > max(count, 1<<16):
-		d.fail("%d leaf models for %d keys", leafModels, count)
-	case math.IsNaN(d.cfg.Density) || (d.cfg.Density > 0 && d.cfg.Density < gapped.MinDensity):
+	case math.IsNaN(d.cfg.Density):
 		d.fail("density %v", d.cfg.Density)
-	case count > 1<<40:
+	case count > maxCount:
 		d.fail("count %d", count)
 	}
 	d.keys = make([]float64, 0, min(count, chunkPairs))

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gapped"
 )
 
 func roundTrip(t *testing.T, tr *Tree) *Tree {
@@ -104,7 +106,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC battered remains of a stream"),
-		append([]byte(magicV2), make([]byte, 10)...), // truncated header
+		append([]byte(magicV1), make([]byte, 10)...), // truncated header
+		append([]byte(magicV2), make([]byte, 10)...),
 	}
 	for i, data := range cases {
 		if _, err := ReadFrom(bytes.NewReader(data)); err == nil {
@@ -113,44 +116,210 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsTruncation(t *testing.T) {
+// formatFixture reads one frozen snapshot from testdata/formats.
+func formatFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "formats", name+".alex"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// truncationInputs are well-formed streams of both versions: two
+// frozen version-1 fixtures and a version-2 stream from WriteTo.
+func truncationInputs(t *testing.T) map[string][]byte {
 	tr, _ := BulkLoad(uniqueKeys(5000, 42), nil, Config{MaxKeysPerLeaf: 256})
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, cut := range []int{len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, err := ReadFrom(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		} else if !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("truncation error not ErrBadFormat: %v", err)
+	return map[string][]byte{
+		"v1 a_gapped":    formatFixture(t, "a_gapped"),
+		"v1 b_pma_split": formatFixture(t, "b_pma_split"),
+		"v2":             buf.Bytes(),
+	}
+}
+
+func TestDecodeRejectsTruncation(t *testing.T) {
+	for name, full := range truncationInputs(t) {
+		if _, err := ReadFrom(bytes.NewReader(full)); err != nil {
+			t.Fatalf("%s: untruncated stream: %v", name, err)
+		}
+		for _, cut := range []int{9, len(full) / 4, len(full) / 2, len(full) - 9, len(full) - 1} {
+			if _, err := ReadFrom(bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("%s: truncation at %d of %d: got %v, want ErrBadFormat", name, cut, len(full), err)
+			}
 		}
 	}
 }
 
+// TestDecodeRejectsCorruptLeafOrder flips each byte of a stream of
+// either version in turn. Every mutation either is rejected or decodes
+// to a tree that passes its invariant check, and some must be rejected.
 func TestDecodeRejectsCorruptLeafOrder(t *testing.T) {
-	tr := BulkLoadSorted([]float64{1, 2, 3, 4}, nil, Config{})
-	var buf bytes.Buffer
-	tr.WriteTo(&buf)
-	data := buf.Bytes()
-	// Flip bytes in the key area until decoding fails or we exhaust the
-	// stream; any accepted mutation must still satisfy invariants.
-	rejected := 0
-	for off := len(data) - 64; off < len(data); off++ {
-		mut := append([]byte(nil), data...)
-		mut[off] ^= 0xff
-		got, err := ReadFrom(bytes.NewReader(mut))
-		if err != nil {
-			rejected++
-			continue
+	var v2 bytes.Buffer
+	BulkLoadSorted([]float64{1, 2, 3, 4}, nil, Config{}).WriteTo(&v2)
+	for name, data := range map[string][]byte{
+		"v1 a_gapped":    formatFixture(t, "a_gapped"),
+		"v1 b_pma_split": formatFixture(t, "b_pma_split"),
+		"v2":             v2.Bytes(),
+	} {
+		rejected := 0
+		for off := range data {
+			mut := append([]byte(nil), data...)
+			mut[off] ^= 0xff
+			got, err := ReadFrom(bytes.NewReader(mut))
+			if err != nil {
+				if !errors.Is(err, ErrBadFormat) {
+					t.Fatalf("%s: error does not wrap ErrBadFormat: %v", name, err)
+				}
+				rejected++
+				continue
+			}
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatalf("%s: accepted corrupt stream violates invariants: %v", name, err)
+			}
 		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("accepted corrupt stream violates invariants: %v", err)
+		if rejected == 0 {
+			t.Fatalf("%s: no corruption was ever rejected", name)
 		}
 	}
-	if rejected == 0 {
-		t.Fatal("no corruption was ever rejected")
+}
+
+// v1Stream assembles a version-1 stream: the ten header words (count
+// last) for an adaptive index holding count pairs, then the node words.
+func v1Stream(count uint64, nodes ...uint64) []byte {
+	b := []byte(magicV1)
+	for _, w := range append([]uint64{0, 0, 4096, 32, 4, 0, 0, 0, 8, count}, nodes...) {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// v1Leaf is a version-1 leaf node: tag, element count, keys, payloads
+// (each payload ten times its key).
+func v1Leaf(keys ...float64) []uint64 {
+	w := []uint64{tagLeaf, uint64(len(keys))}
+	for _, k := range keys {
+		w = append(w, math.Float64bits(k))
+	}
+	for _, k := range keys {
+		w = append(w, uint64(10*k))
+	}
+	return w
+}
+
+// v1Inner is a version-1 inner node header with a zero model and nc
+// children; the children's words follow it.
+func v1Inner(nc uint64) []uint64 { return []uint64{tagInner, 0, 0, nc} }
+
+func words(parts ...[]uint64) []uint64 {
+	var w []uint64
+	for _, p := range parts {
+		w = append(w, p...)
+	}
+	return w
+}
+
+func TestDecodeV1RejectsMalformedNodeStream(t *testing.T) {
+	repeat := []uint64{tagRepeat}
+	// An inner root over a leaf, a repeat of it, and a second leaf.
+	valid := v1Stream(4, words(v1Inner(3), v1Leaf(1, 2), repeat, v1Leaf(3, 4))...)
+	tr, err := ReadFrom(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatalf("well-formed stream: %v", err)
+	}
+	if tr.Len() != 4 {
+		t.Fatalf("well-formed stream: Len %d", tr.Len())
+	}
+	for v := 1; v <= 4; v++ {
+		if p, ok := tr.Get(float64(v)); !ok || p != uint64(10*v) {
+			t.Fatalf("well-formed stream: Get(%d) = %d, %v", v, p, ok)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"repeat as the root", v1Stream(0, repeat...)},
+		{"repeat as the first child", v1Stream(4, words(v1Inner(3), repeat, v1Leaf(1, 2), v1Leaf(3, 4))...)},
+		{"repeat as a nested first child", v1Stream(4, words(v1Inner(2), v1Leaf(1, 2), v1Inner(2), repeat, v1Leaf(3, 4))...)},
+		{"child count 0", v1Stream(0, v1Inner(0)...)},
+		{"child count above 2^24", v1Stream(4, words(v1Inner(1<<24+1), v1Leaf(1, 2), v1Leaf(3, 4))...)},
+		{"leaf count above the header count", v1Stream(3, words(v1Inner(2), v1Leaf(1, 2), v1Leaf(3, 4))...)},
+		{"leaf totals below the header count", v1Stream(5, words(v1Inner(2), v1Leaf(1, 2), v1Leaf(3, 4))...)},
+		{"keys out of order across two leaves", v1Stream(4, words(v1Inner(2), v1Leaf(3, 4), v1Leaf(1, 2))...)},
+		{"keys out of order inside a leaf", v1Stream(2, v1Leaf(2, 1)...)},
+		{"NaN key", v1Stream(2, v1Leaf(1, math.NaN())...)},
+		{"unknown tag", v1Stream(0, 3)},
+		{"unknown layout word", append(append([]byte(magicV1), binary.LittleEndian.AppendUint64(nil, 2)...), valid[16:]...)},
+		{"truncated mid-leaf", valid[:len(valid)-12]},
+		{"missing child", v1Stream(2, words(v1Inner(2), v1Leaf(1, 2))...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadFrom(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("got %v, want ErrBadFormat", err)
+			}
+		})
+	}
+}
+
+// TestDecodeClampsAllocationWords: header words that only size an
+// allocation are clamped, not rejected, so every value an older build
+// wrote still opens. A version-1 stream with density 0.01 reopens at
+// gapped.MinDensity; a static RMI with more leaf models than max(count,
+// 2^16) reopens capped there.
+func TestDecodeClampsAllocationWords(t *testing.T) {
+	a := formatFixture(t, "a_gapped")
+	want, err := ReadFrom(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v1DensityOff = 8 + 7*8
+	lowDensity := append([]byte(nil), a...)
+	binary.LittleEndian.PutUint64(lowDensity[v1DensityOff:], math.Float64bits(0.01))
+	got, err := ReadFrom(bytes.NewReader(lowDensity))
+	if err != nil {
+		t.Fatalf("density 0.01: %v", err)
+	}
+	if d := got.Config().Density; d != gapped.MinDensity {
+		t.Fatalf("density 0.01 reopened at %v, want %v", d, gapped.MinDensity)
+	}
+	sameContents(t, got, want)
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := uniqueKeys(1000, 43)
+	tr, err := BulkLoad(keys, nil, Config{RMI: StaticRMI, NumLeafModels: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := roundTrip(t, tr)
+	if m := back.Config().NumLeafModels; m != 1<<16 {
+		t.Fatalf("100000 leaf models over 1000 keys reopened with %d", m)
+	}
+	sameContents(t, back, tr)
+}
+
+// sameContents fails unless both trees scan to the same pairs.
+func sameContents(t *testing.T, got, want *Tree) {
+	t.Helper()
+	type pair struct {
+		k float64
+		v uint64
+	}
+	var g, w []pair
+	got.Scan(math.Inf(-1), func(k float64, v uint64) bool { g = append(g, pair{k, v}); return true })
+	want.Scan(math.Inf(-1), func(k float64, v uint64) bool { w = append(w, pair{k, v}); return true })
+	if len(g) != len(w) {
+		t.Fatalf("%d pairs, want %d", len(g), len(w))
+	}
+	for i := range w {
+		if math.Float64bits(g[i].k) != math.Float64bits(w[i].k) || g[i].v != w[i].v {
+			t.Fatalf("pair %d = %v, want %v", i, g[i], w[i])
+		}
 	}
 }
 

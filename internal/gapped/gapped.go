@@ -23,9 +23,10 @@ import (
 // cycle in [d², d] with d = 0.8, averaging ≈0.72 occupancy.
 const DefaultDensity = 0.8
 
-// MinDensity is the smallest density limit the index options produce. A
-// fresh node allocates n/d² slots, so below it the space overhead
-// (above 200×) stops being a tuning choice.
+// MinDensity is the smallest density limit DensityForOverhead returns,
+// and the one a snapshot with a lower limit reopens with. A fresh node
+// allocates n/d² slots, so below it the space overhead (above 200×)
+// stops being a tuning choice.
 const MinDensity = 0.05
 
 // minCapacity keeps degenerate nodes from thrashing expansions.
