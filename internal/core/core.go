@@ -257,18 +257,26 @@ func (s *Stats) BoundedShare() float64 {
 // Tree is an ALEX index from float64 keys to uint64 payloads. A Tree
 // must not be copied after first use (it holds atomic pointers).
 type Tree struct {
-	cfg          Config
-	root         atomic.Pointer[node]
-	head         atomic.Pointer[node] // leftmost leaf
-	count        int
-	splits       uint64
-	costRetrains uint64
+	// Lock-free readers load root (and scans head); cfg and retire are
+	// fixed once the tree is shared. None of these is written per
+	// operation.
+	root atomic.Pointer[node]
+	head atomic.Pointer[node] // leftmost leaf
+	cfg  Config
 
 	// retire, when set (SetRetireHook), receives every structure the
 	// writer unpublishes — replaced data arrays, superseded nodes — so
 	// the owner can run epoch-based reclamation over them. Called under
 	// the writer's exclusion.
 	retire func(any)
+
+	// The pad keeps the writer's per-operation counters below off every
+	// cache line the fields above share, so an insert on one core does
+	// not invalidate the root pointer in a reader's cache on another.
+	_            [64]byte
+	count        int
+	splits       uint64
+	costRetrains uint64
 }
 
 // SetRetireHook installs the unpublish callback for epoch-based
@@ -574,6 +582,26 @@ func (t *Tree) Get(key float64) (uint64, bool) {
 		return g.Lookup(key)
 	}
 	return 0, false
+}
+
+// GetValidated is Get for a reader that holds no lock while a writer
+// may be working: it descends, loads the leaf's array once, and probes
+// it under the array's own seqlock word (leafbase.LookupValidated).
+// valid is false when the probe overlapped an in-place write of that
+// array (or, on a torn descent, reached no leaf); v and ok are then
+// meaningless and the caller retries or takes its lock. Writes to other
+// leaves never invalidate the probe, and a restructure that replaced
+// the array leaves this probe on the old one, which is never written
+// again — a stale answer, current when the array pointer was loaded.
+func (t *Tree) GetValidated(key float64) (v uint64, ok, valid bool) {
+	leaf := t.leafFor(key)
+	if leaf == nil {
+		return 0, false, false
+	}
+	if g := leaf.ga.Load(); g != nil {
+		return g.LookupValidated(key)
+	}
+	return 0, false, false
 }
 
 // Contains reports whether key is present.

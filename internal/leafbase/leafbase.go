@@ -101,6 +101,14 @@ func SetBoundedSearch(on bool) {
 // Base is the storage core of a data node. It is not safe for concurrent
 // use; like the system evaluated in the paper, the index is single-writer.
 type Base struct {
+	// Ver is the node's seqlock word: odd while a writer changes the
+	// slots of this array in place, even otherwise, advanced by two per
+	// in-place write (see version.go). A plain word accessed only
+	// through sync/atomic functions, so Base stays copyable; the
+	// annotation makes alexvet enforce that in every package.
+	//alex:atomic
+	Ver uint64
+
 	Keys     []float64 // len == capacity; gaps duplicate nearest right key
 	Payloads []uint64
 	Occ      *bitmapx.Bitmap
@@ -375,7 +383,9 @@ func (b *Base) noteInsertErr(slot, pred int) {
 // Update overwrites the payload of an existing key.
 func (b *Base) Update(key float64, payload uint64) bool {
 	if i := b.Find(key); i >= 0 {
+		b.beginWrite()
 		b.Payloads[i] = payload
+		b.endWrite()
 		return true
 	}
 	return false
@@ -497,7 +507,9 @@ func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
 	lo := b.LowerBoundSlot(key)
 	if lo < cap && b.Keys[lo] == key {
 		if occ := b.Occ.NextSet(lo); occ >= 0 && b.Keys[occ] == key {
+			b.beginWrite()
 			b.Payloads[occ] = payload
+			b.endWrite()
 			return Duplicate
 		}
 	}
@@ -535,6 +547,7 @@ func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
 		} else if q > hi {
 			q = hi
 		}
+		b.beginWrite()
 		b.fillRange(lo, q, key)
 		b.Keys[q] = key
 		b.Payloads[q] = payload
@@ -548,12 +561,15 @@ func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
 			// prediction.
 			b.noteInsertErr(q, pred)
 		}
+		b.endWrite()
 		return Inserted
 	}
 
 	// lo is occupied (or past the end): make a gap by shifting toward the
 	// closest gap.
+	b.beginWrite()
 	b.insertWithShift(key, payload, lo)
+	b.endWrite()
 	return Inserted
 }
 
@@ -628,9 +644,8 @@ func (b *Base) Delete(key float64) bool {
 	if occ < 0 {
 		return false
 	}
+	b.beginWrite()
 	b.Occ.Clear(occ)
-	b.NumKeys--
-	b.Stats.Deletes++
 	// The slot and any gaps immediately to its left must now duplicate
 	// the next occupied key to the right (or +Inf at the tail).
 	fill := math.Inf(1)
@@ -640,6 +655,9 @@ func (b *Base) Delete(key float64) bool {
 	for i := occ; i >= 0 && !b.Occ.Test(i); i-- {
 		b.Keys[i] = fill
 	}
+	b.endWrite()
+	b.NumKeys--
+	b.Stats.Deletes++
 	return true
 }
 

@@ -383,3 +383,32 @@ func TestQuickBuildRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerBracketsInPlaceWrites checks the writer half of the seqlock:
+// every in-place slot write (gap claim, shift, payload overwrite,
+// delete, update) advances Ver by one odd-even pair, and an operation
+// that writes no slot (a miss, a full node) leaves it alone.
+func TestVerBracketsInPlaceWrites(t *testing.T) {
+	b := buildBase(seq(32, 2), 48)
+	step := func(what string, want uint64, f func()) {
+		t.Helper()
+		before := b.Ver
+		f()
+		if got := b.Ver - before; got != want {
+			t.Fatalf("%s: Ver advanced by %d, want %d", what, got, want)
+		}
+	}
+	step("gap claim", 2, func() { b.PlaceModelBased(1, 1) })
+	step("duplicate", 2, func() { b.PlaceModelBased(1, 9) })
+	step("update", 2, func() { b.Update(4, 9) })
+	step("update miss", 0, func() { b.Update(5, 9) })
+	step("delete", 2, func() { b.Delete(4) })
+	step("delete miss", 0, func() { b.Delete(5) })
+	for k := 0.25; b.NumKeys < b.Cap(); k += 0.25 {
+		step("fill", 2, func() { b.PlaceModelBased(k, 1) })
+	}
+	step("need room", 0, func() { b.PlaceModelBased(1000, 1) })
+	if _, _, valid := b.LookupValidated(1); !valid {
+		t.Fatal("LookupValidated invalid with no writer")
+	}
+}

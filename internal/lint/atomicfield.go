@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"strings"
@@ -16,7 +17,9 @@ import (
 // op tears the publication protocol: the copy is a plain read racing
 // writers, and an overwrite skips the single-store publication rule.
 // Annotated plain-typed fields must be touched exclusively through
-// sync/atomic package functions taking the field's address.
+// sync/atomic package functions taking the field's address, in every
+// package that reaches them — the annotation on an exported field
+// (leafbase.Base.Ver) binds the packages that import it too.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc: "fields of sync/atomic type or annotated //alex:atomic may only be " +
@@ -29,6 +32,7 @@ const atomicAnnotation = "//alex:atomic"
 
 func runAtomicField(pass *Pass) error {
 	annotated := annotatedFields(pass)
+	imported := &importedAnnotations{fset: pass.Fset, files: map[string]map[int]bool{}}
 	for _, f := range pass.Files {
 		walkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -42,6 +46,9 @@ func runAtomicField(pass *Pass) error {
 			field, ok := selection.Obj().(*types.Var)
 			if !ok {
 				return true
+			}
+			if field.Pkg() != pass.Pkg && !annotated[field] && imported.annotated(field) {
+				annotated[field] = true
 			}
 			switch {
 			case isAtomicType(field.Type()):
@@ -79,6 +86,40 @@ func annotatedFields(pass *Pass) map[*types.Var]bool {
 		})
 	}
 	return out
+}
+
+// importedAnnotations finds annotations on fields declared in other
+// packages. The loader type-checks imports from source into the shared
+// FileSet, so a field's position names its declaring file; each such
+// file is re-parsed once with comments (imports are type-checked
+// without them) and its annotated fields recorded by name offset.
+type importedAnnotations struct {
+	fset  *token.FileSet
+	files map[string]map[int]bool // filename -> offsets of annotated field names
+}
+
+func (ia *importedAnnotations) annotated(field *types.Var) bool {
+	pos := ia.fset.Position(field.Pos())
+	if !pos.IsValid() || pos.Filename == "" {
+		return false
+	}
+	offs, ok := ia.files[pos.Filename]
+	if !ok {
+		offs = map[int]bool{}
+		fs := token.NewFileSet()
+		if f, err := parser.ParseFile(fs, pos.Filename, nil, parser.ParseComments); err == nil {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if fld, ok := n.(*ast.Field); ok && fieldAnnotated(fld) {
+					for _, name := range fld.Names {
+						offs[fs.Position(name.Pos()).Offset] = true
+					}
+				}
+				return true
+			})
+		}
+		ia.files[pos.Filename] = offs
+	}
+	return offs[pos.Offset]
 }
 
 func fieldAnnotated(fld *ast.Field) bool {

@@ -3,7 +3,11 @@
 // to the atomic access shapes the analyzer must accept.
 package atomicfield
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/lint/testdata/src/atomicfield/internal/leaf"
+)
 
 type node struct{ next *node }
 
@@ -38,4 +42,21 @@ func plainStore(t *table) {
 
 func escape(t *table) *uint32 {
 	return &t.word // want `escapes outside a sync/atomic call`
+}
+
+// array embeds an imported header, as gapped.Array embeds leafbase.Base:
+// the annotation travels with the field into this package.
+type array struct {
+	leaf.Base
+}
+
+func importedGood(a *array, b *leaf.Base) {
+	atomic.AddUint64(&a.Ver, 1)
+	_ = atomic.LoadUint64(&b.Ver)
+	_ = a.Keys
+}
+
+func importedPlain(a *array) uint64 {
+	a.Ver++      // want `accessed non-atomically`
+	return a.Ver // want `accessed non-atomically`
 }

@@ -1,0 +1,11 @@
+// Package leaf declares an //alex:atomic field for the atomicfield
+// fixture to reach from another package, the way core and gapped reach
+// leafbase.Base.Ver.
+package leaf
+
+// Base is the stand-in node header.
+type Base struct {
+	//alex:atomic
+	Ver  uint64
+	Keys []float64
+}

@@ -5,27 +5,35 @@ package alex
 // optimisticReads enables the seqlock-style lock-free read path of
 // SyncIndex and ShardedIndex.
 //
-// The protocol (see SyncIndex.Get for the read side and Apply for the
-// write side) is a classic sequence lock: writers bump an atomic
-// sequence number to odd before mutating and back to even after, and a
-// reader snapshots the sequence, probes the index with plain loads, and
-// only trusts the result if the sequence was even and unchanged across
-// the probe. The speculative probe intentionally races with writers on
-// slot *values* — that is the entire point; any value read during a
+// The protocol is a classic sequence lock at two granularities. A
+// point read (Get, Contains) validates against the sequence word of
+// the one data array it probes (leafbase.Base.Ver, read through
+// core.Tree.GetValidated): every in-place slot write makes that word
+// odd before it starts and even after it ends, and the reader waits
+// for an even word (a bounded spin), probes with plain loads, and
+// trusts the result only if the word is unchanged. A write to any
+// other leaf never disturbs it. The batch and scan probes span many
+// leaves, so they validate against the wrapper's sequence word (the
+// shard's, for ShardedIndex), which every write bumps under the write
+// lock. The speculative probe intentionally races with writers on slot
+// *values* — that is the entire point; any value read during a
 // mutation is thrown away by the revalidation.
 //
 // Structure, by contrast, no longer races at all: every node reference
 // in internal/core is an atomic.Pointer, restructures (expand, retrain,
 // split, merge, redistribute) build their replacement off to the side
 // and publish it with a single atomic store, and retired structures are
-// held by the epoch manager until no snapshot pins them. A speculative
+// held by the epoch manager until no snapshot pins them. A replaced
+// array is never written again, so its word stays even and a reader
+// still probing it gets a stale answer that was current when it loaded
+// the array pointer — linearizable at that instant. A speculative
 // probe therefore always walks a tree that was fully constructed at
-// some instant — it can observe a *stale* leaf (fixed by revalidation)
-// but never a torn one, so the probe cannot fault. The remaining racy
-// reads are confined to slot values inside a data node (keys, payloads,
-// occupancy words) during in-place gap claims, which the seqlock check
-// discards. The batch and scan probes keep a recover frame as
-// defense-in-depth, not because a fault path is known.
+// some instant — it can observe a *stale* leaf but never a torn one,
+// so the probe cannot fault. The remaining racy reads are confined to
+// slot values inside a data node (keys, payloads, occupancy words)
+// during in-place writes, which the validation discards. The batch and
+// scan probes keep a recover frame as defense-in-depth, not because a
+// fault path is known.
 //
 // The race detector cannot model "racy value read, then revalidate and
 // discard", so under `-race` builds this constant disables the

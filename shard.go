@@ -56,7 +56,6 @@ type ShardedIndex struct {
 	// path non-blocking: if a retrain is already running, skip).
 	retrainMu sync.Mutex
 
-	writeTick    atomic.Uint64 // writes since the last drift check
 	retrains     atomic.Uint64 // completed router retrains
 	lastdistSize atomic.Int64  // Len() at the last (re)partition
 
@@ -69,24 +68,48 @@ type ShardedIndex struct {
 	em *epoch.Manager
 }
 
-// shard is one key-space partition: an Index plus its lock and seqlock
-// generation.
+// shard is one key-space partition: an Index plus its lock, seqlock
+// generation and drift clock.
+//
+// The fields are laid out by who writes them. idx and moved, which
+// readers load, are written only when a retrain supersedes the shard;
+// the pad keeps them off the cache line of mu, seq and writes, which
+// every write dirties. Without it each write would invalidate the line
+// holding idx in the cache of every core reading the shard.
 type shard struct {
-	mu  sync.RWMutex
 	idx *Index
-	// seq is the shard's seqlock generation: odd while a writer mutates
-	// the shard's index (under mu), even and advanced once it is done.
-	// Optimistic readers validate their lock-free probes against it; see
-	// optimistic.go for the protocol. A router retrain never bumps it:
-	// retrains freeze the old shard (its index is never mutated again),
-	// so a racing optimistic reader of a superseded shard still observes
-	// an internally consistent — merely slightly stale, and therefore
-	// still linearizable — view.
-	seq atomic.Uint64
 	// moved is set (under mu) when a retrain supersedes this shard: its
 	// contents live in the new table, so lock-taking routers that raced
 	// the swap must reload the table and retry.
 	moved bool
+
+	_  [64]byte
+	mu sync.RWMutex
+	// seq is the shard's seqlock generation: odd while a writer mutates
+	// the shard's index (under mu), even and advanced once it is done.
+	// The batch and scan probes validate against it; point reads
+	// validate against the word of the leaf they probe instead (see
+	// optimistic.go). A router retrain never bumps it: retrains freeze
+	// the old shard (its index is never mutated again), so a racing
+	// optimistic reader of a superseded shard still observes an
+	// internally consistent — merely slightly stale, and therefore
+	// still linearizable — view.
+	seq atomic.Uint64
+	// writes is the shard's drift clock: keys written since its last
+	// drift check, counted under mu by point and batch writes alike.
+	writes int
+}
+
+// tick advances the drift clock by n written keys and reports whether
+// a drift check is due; the clock restarts when it is. Caller holds
+// sh.mu and runs the check (maybeRetrain) only after releasing it.
+func (sh *shard) tick(n int) bool {
+	sh.writes += n
+	if sh.writes < driftCheckEvery {
+		return false
+	}
+	sh.writes = 0
+	return true
 }
 
 // tryGetBatchInto is one optimistic probe for one shard's group of a
@@ -282,11 +305,10 @@ func (s *ShardedIndex) writeShard(key float64) *shard {
 }
 
 // Get returns the payload stored for key. The read is optimistic
-// first: route through the current table, probe the shard lock-free,
-// and revalidate the shard's sequence; only detected writer overlap
-// falls back to the shard's read lock. See SyncIndex for the protocol
-// discussion — here the sequence is per shard, so a writer only
-// disturbs readers of its own key-space partition.
+// first: route through the current table and probe the shard's tree
+// lock-free, validating against the seqlock word of the leaf probed;
+// only detected writer overlap on that leaf falls back to the shard's
+// read lock. Writes to other leaves of the shard do not disturb it.
 func (s *ShardedIndex) Get(key float64) (uint64, bool) {
 	if s.optimistic() {
 		if v, ok, valid := s.optimisticGet(key); valid {
@@ -300,23 +322,19 @@ func (s *ShardedIndex) Get(key float64) (uint64, bool) {
 }
 
 // optimisticGet is the bounded-retry lock-free probe: route through
-// the current table, probe the shard, revalidate its sequence; between
-// attempts the route is refreshed only if the router generation
-// changed. Like SyncIndex.optimisticGet it carries no recover frame —
-// the point lookup path is panic-proof by construction against torn
-// reads (clamped and unsigned-guarded indexing in leafbase), so a
-// probe racing a node rebuild returns a wrong result that the
-// validation below discards.
+// the current table and run the shard tree's leaf-validated point read
+// (core.Tree.GetValidated); between attempts the route is refreshed
+// only if the router generation changed. Like SyncIndex.optimisticGet
+// it carries no recover frame — the point lookup path is panic-proof
+// by construction against torn reads (clamped and unsigned-guarded
+// indexing in leafbase), so a probe racing an in-place write returns a
+// wrong result that the leaf's validation discards.
 func (s *ShardedIndex) optimisticGet(key float64) (v uint64, ok, valid bool) {
 	t := s.tab.Load()
 	sh := t.shards[t.locate(key)]
 	for a := 0; a < optimisticRetries; a++ {
-		s1 := sh.seq.Load()
-		if s1&1 == 0 {
-			v, ok = sh.idx.Get(key)
-			if sh.seq.Load() == s1 {
-				return v, ok, true
-			}
+		if v, ok, valid = sh.idx.t.GetValidated(key); valid {
+			return v, ok, true
 		}
 		if nt := s.tab.Load(); nt != t {
 			t = nt
@@ -343,10 +361,10 @@ func (s *ShardedIndex) optimistic() bool { return optimisticReads && !s.lockOnly
 
 // Apply executes one mutation, routing it to the owning shard (point
 // ops) or fanning sub-batches out across shards in parallel (batch
-// ops). It is the single write path of the sharded index: the point and
-// batch write methods construct Ops over it, and DurableIndex replays
-// WAL records through it, so all three share the same routing, locking,
-// and drift accounting.
+// ops). DurableIndex replays WAL records through it and the batch write
+// methods construct Ops over it; a single-key Op takes the same point
+// path as Insert and Delete, so every write shares the same routing,
+// locking, and drift accounting.
 func (s *ShardedIndex) Apply(op Op) int {
 	switch op.Kind {
 	case OpInsert:
@@ -354,31 +372,27 @@ func (s *ShardedIndex) Apply(op Op) int {
 			panic("alex: len(payloads) != len(keys)")
 		}
 		if len(op.Keys) == 1 {
-			return s.applyPoint(op.Keys[0], func(ix *Index) bool {
-				return ix.Insert(op.Keys[0], op.Payloads[0])
-			})
+			return b2i(s.Insert(op.Keys[0], op.Payloads[0]))
 		}
-		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, at []int) int {
+		return s.fanOut(op.Keys, true, func(sh *shard, ks []float64, at []int) int {
 			ps := make([]uint64, len(ks))
 			for j, p := range at {
 				ps[j] = op.Payloads[p]
 			}
 			return sh.idx.InsertBatch(ks, ps)
-		}, true)
+		})
 	case OpDelete:
 		if len(op.Keys) == 1 {
-			return s.applyPoint(op.Keys[0], func(ix *Index) bool {
-				return ix.Delete(op.Keys[0])
-			})
+			return b2i(s.Delete(op.Keys[0]))
 		}
-		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, _ []int) int {
+		return s.fanOut(op.Keys, false, func(sh *shard, ks []float64, _ []int) int {
 			return sh.idx.DeleteBatch(ks)
-		}, false)
+		})
 	case OpMerge:
 		if op.Payloads != nil && len(op.Payloads) != len(op.Keys) {
 			panic("alex: len(payloads) != len(keys)")
 		}
-		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, at []int) int {
+		return s.fanOut(op.Keys, true, func(sh *shard, ks []float64, at []int) int {
 			var ps []uint64
 			if op.Payloads != nil {
 				ps = make([]uint64, len(ks))
@@ -387,54 +401,64 @@ func (s *ShardedIndex) Apply(op Op) int {
 				}
 			}
 			return sh.idx.Merge(ks, ps)
-		}, true)
+		})
 	}
 	panic("alex: unknown op kind")
 }
 
-// applyPoint runs one single-key mutation on the owning shard, with
-// the seqlock bumps that let optimistic readers of this shard detect
-// the overlap.
-func (s *ShardedIndex) applyPoint(key float64, mut func(*Index) bool) int {
-	sh := s.writeShard(key)
-	sh.seq.Add(1) // odd: mutation in flight
-	changed := mut(sh.idx)
-	sh.seq.Add(1)
-	sh.mu.Unlock()
-	s.noteWrites(1)
-	if changed {
+// b2i is 1 for true and 0 for false: a point write's affected-key count.
+func b2i(b bool) int {
+	if b {
 		return 1
 	}
 	return 0
 }
 
-// applyBatch fans one multi-key mutation out across the owning shards.
-func (s *ShardedIndex) applyBatch(keys []float64, op func(sh *shard, ks []float64, at []int) int, withPos bool) int {
-	n := s.fanOut(keys, false, withPos, op)
-	s.noteWrites(len(keys))
-	return n
+// lockPoint routes key to its shard and returns it write-locked with
+// its sequence odd, so the shard's batch and scan probes detect the
+// overlap (point readers validate the leaf's own word, which the leaf
+// write bumps). Pair it with unlockPoint.
+func (s *ShardedIndex) lockPoint(key float64) *shard {
+	sh := s.writeShard(key)
+	sh.seq.Add(1) // odd: mutation in flight
+	return sh
+}
+
+// unlockPoint ends a point write begun by lockPoint: the sequence turns
+// even, the drift clock advances by the n keys written, and the lock is
+// released before any drift check runs.
+func (s *ShardedIndex) unlockPoint(sh *shard, n int) {
+	sh.seq.Add(1)
+	due := sh.tick(n)
+	sh.mu.Unlock()
+	if due {
+		s.maybeRetrain()
+	}
 }
 
 // Insert adds key with payload; see Index.Insert. Only the owning
 // shard is locked, so inserts to different shards run in parallel.
 func (s *ShardedIndex) Insert(key float64, payload uint64) bool {
-	k, p := [1]float64{key}, [1]uint64{payload}
-	return s.Apply(Op{Kind: OpInsert, Keys: k[:], Payloads: p[:]}) > 0
+	sh := s.lockPoint(key)
+	ok := sh.idx.Insert(key, payload)
+	s.unlockPoint(sh, 1)
+	return ok
 }
 
 // Delete removes key.
 func (s *ShardedIndex) Delete(key float64) bool {
-	k := [1]float64{key}
-	return s.Apply(Op{Kind: OpDelete, Keys: k[:]}) > 0
+	sh := s.lockPoint(key)
+	ok := sh.idx.Delete(key)
+	s.unlockPoint(sh, 1)
+	return ok
 }
 
-// Update overwrites the payload of an existing key.
+// Update overwrites the payload of an existing key. It changes no
+// shard's size, so it does not advance the drift clock.
 func (s *ShardedIndex) Update(key float64, payload uint64) bool {
-	sh := s.writeShard(key)
-	sh.seq.Add(1)
+	sh := s.lockPoint(key)
 	ok := sh.idx.Update(key, payload)
-	sh.seq.Add(1)
-	sh.mu.Unlock()
+	s.unlockPoint(sh, 0)
 	return ok
 }
 
@@ -622,7 +646,8 @@ func soleShard(sub [][]float64) int {
 
 // InsertBatch adds many key/payload pairs, returning how many were new;
 // see Index.InsertBatch. Sub-batches run on their shards in parallel.
-// len(payloads) must equal len(keys).
+// len(payloads) must equal len(keys). A one-key batch takes the point
+// path.
 func (s *ShardedIndex) InsertBatch(keys []float64, payloads []uint64) int {
 	return s.Apply(Op{Kind: OpInsert, Keys: keys, Payloads: payloads})
 }
@@ -639,15 +664,16 @@ func (s *ShardedIndex) Merge(keys []float64, payloads []uint64) int {
 	return s.Apply(Op{Kind: OpMerge, Keys: keys, Payloads: payloads})
 }
 
-// fanOut partitions keys and applies op to each involved shard under
-// its lock (read or write per readOnly), summing the results. When a
-// single shard is involved — the common case for small batches — op
-// runs inline on the caller; otherwise each shard gets its own worker
-// goroutine. withPos selects whether per-key input positions are
+// fanOut partitions keys and applies a write op to each involved shard
+// under its lock, summing the results. When a single shard is involved
+// — the common case for small batches — op runs inline on the caller;
+// otherwise each shard gets its own worker goroutine. withPos selects whether per-key input positions are
 // tracked for ops that scatter results or payloads (at is nil
 // otherwise). The whole fan-out holds the gate shared, so a router
-// retrain or snapshot never interleaves with a half-applied batch.
-func (s *ShardedIndex) fanOut(keys []float64, readOnly, withPos bool, op func(sh *shard, ks []float64, at []int) int) int {
+// retrain or snapshot never interleaves with a half-applied batch. A
+// write advances each shard's drift clock by its sub-batch length and
+// runs a due drift check once that shard's lock is released.
+func (s *ShardedIndex) fanOut(keys []float64, withPos bool, op func(sh *shard, ks []float64, at []int) int) int {
 	if len(keys) == 0 {
 		return 0
 	}
@@ -659,21 +685,20 @@ func (s *ShardedIndex) fanOut(keys []float64, readOnly, withPos bool, op func(sh
 	sub, pos := scratch.partition(t, keys, withPos)
 	apply := func(i int) int {
 		sh := t.shards[i]
-		if readOnly {
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-		} else {
-			sh.mu.Lock()
-			sh.seq.Add(1) // odd: mutation in flight on this shard
-			defer func() {
-				sh.seq.Add(1)
-				sh.mu.Unlock()
-			}()
-		}
 		var at []int
 		if withPos {
 			at = pos[i]
 		}
+		sh.mu.Lock()
+		sh.seq.Add(1) // odd: mutation in flight on this shard
+		defer func() {
+			sh.seq.Add(1)
+			due := sh.tick(len(sub[i]))
+			sh.mu.Unlock()
+			if due {
+				s.maybeRetrain()
+			}
+		}()
 		return op(sh, sub[i], at)
 	}
 	if only := soleShard(sub); only >= 0 {
@@ -1153,19 +1178,6 @@ func (s *ShardedIndex) Rebalance() {
 	s.retrainMu.Lock()
 	s.retrainLocked()
 	s.retrainMu.Unlock()
-}
-
-// noteWrites advances the drift clock and, every driftCheckEvery
-// writes, checks shard balance. Callers must not hold the gate or any
-// shard lock.
-func (s *ShardedIndex) noteWrites(n int) {
-	if n == 0 {
-		return
-	}
-	c := s.writeTick.Add(uint64(n))
-	if c >= driftCheckEvery && s.writeTick.CompareAndSwap(c, 0) {
-		s.maybeRetrain()
-	}
 }
 
 // maybeRetrain retrains the router if the largest shard has drifted

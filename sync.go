@@ -17,28 +17,30 @@ import (
 // RMI as the fine-grained design; that requires per-node latches and is
 // left future work there too. This wrapper is the coarse-grained option
 // for writes: correct under any interleaving, serializing writers. The
-// read side is optimistic: writers bump an atomic sequence number to
-// odd before mutating and back to even after, and Get, Contains,
-// GetBatch/GetBatchInto and ScanN/ScanNInto first run the model-predict
-// + bounded-search probe with no lock, then revalidate the sequence —
-// an unchanged even sequence proves no writer overlapped the probe, so
-// the result is exactly what the locked path would have returned. Only
-// a detected overlap (or optimisticRetries of them) falls back to the
-// RLock path, so the read hot path performs zero shared-memory writes
-// and read throughput scales with cores instead of serializing on the
-// RWMutex reader count. Callback scans (Scan, ScanRange) always take
-// the lock: they expose elements to user code mid-probe, before any
-// revalidation could discard them.
+// read side is optimistic: Get, Contains, GetBatch/GetBatchInto and
+// ScanN/ScanNInto first run the model-predict + bounded-search probe
+// with no lock, then revalidate a sequence word that writers make odd
+// while they mutate and even afterwards — an unchanged even word
+// proves no writer overlapped the probe, so the result is exactly what
+// the locked path would have returned. A point read validates the word
+// of the one leaf it probed, so only a write to that leaf disturbs it;
+// the batch and scan probes span many leaves and validate the index's
+// own sequence. Only a detected overlap (or optimisticRetries of them)
+// falls back to the RLock path, so the read hot path performs zero
+// shared-memory writes and read throughput scales with cores instead
+// of serializing on the RWMutex reader count. Callback scans (Scan,
+// ScanRange) always take the lock: they expose elements to user code
+// mid-probe, before any revalidation could discard them.
 //
 // For write-heavy workloads on multiple cores, ShardedIndex partitions
 // the key space so writers stop contending on one lock (its shards run
 // the same optimistic read protocol).
 type SyncIndex struct {
-	mu  sync.RWMutex
+	// idx and lockOnly are loaded by every read and never written per
+	// operation; the pad keeps them off the cache line of mu and seq,
+	// which every write dirties (the layout rule of ShardedIndex's
+	// shard, see docs/concurrency.md).
 	idx *Index
-	// seq is the seqlock generation: odd while a writer is mutating
-	// (under mu), even and advanced once it is done.
-	seq atomic.Uint64
 	// lockOnly forces the RLock path; see SetOptimisticReads.
 	lockOnly atomic.Bool
 	// em tracks epoch-based reclamation: structures the writer
@@ -46,6 +48,13 @@ type SyncIndex struct {
 	// and Snapshot pins the epoch its view was cut in. See
 	// docs/concurrency.md.
 	em *epoch.Manager
+
+	_  [64]byte
+	mu sync.RWMutex
+	// seq is the seqlock generation: odd while a writer is mutating
+	// (under mu), even and advanced once it is done. The batch and scan
+	// probes validate against it.
+	seq atomic.Uint64
 }
 
 // SetOptimisticReads toggles the lock-free read path (default on; also
@@ -93,9 +102,11 @@ func (s *SyncIndex) Get(key float64) (uint64, bool) {
 	return v, ok
 }
 
-// optimisticGet runs the bounded-retry optimistic probe: snapshot the
-// sequence, run the lock-free lookup, and revalidate. valid is false
-// when every attempt overlapped a writer (the results were discarded).
+// optimisticGet runs the bounded-retry optimistic probe: the tree's
+// leaf-validated point read (core.Tree.GetValidated), which snapshots
+// the probed leaf's sequence word, looks the key up lock-free, and
+// revalidates. valid is false when every attempt overlapped a write to
+// that leaf (the results were discarded).
 //
 // Unlike the batch probes it carries no recover frame — a deferred
 // recover costs several nanoseconds, comparable to the whole point
@@ -103,17 +114,12 @@ func (s *SyncIndex) Get(key float64) (uint64, bool) {
 // against torn reads: every slot computed from potentially-inconsistent
 // node state is clamped or unsigned-guarded against the array it
 // actually indexes (see leafbase.predictFast, Find and Lookup), so a
-// probe racing a node rebuild degrades to a wrong result that the
-// sequence validation here throws away. See optimistic.go for why the
-// data race itself is safe.
+// probe racing an in-place write degrades to a wrong result that the
+// leaf's validation throws away. See optimistic.go for why the data
+// race itself is safe.
 func (s *SyncIndex) optimisticGet(key float64) (v uint64, ok, valid bool) {
 	for a := 0; a < optimisticRetries; a++ {
-		s1 := s.seq.Load()
-		if s1&1 != 0 {
-			continue
-		}
-		v, ok = s.idx.Get(key)
-		if s.seq.Load() == s1 {
+		if v, ok, valid = s.idx.t.GetValidated(key); valid {
 			return v, ok, true
 		}
 	}
@@ -127,11 +133,11 @@ func (s *SyncIndex) Contains(key float64) bool {
 }
 
 // Apply executes one mutation under a single write-lock acquisition.
-// It is the only path that mutates the wrapped index: the point and
-// batch write methods construct Ops over it, and DurableIndex replays
-// WAL records through it, so all three share identical semantics. The
-// seqlock bumps around the mutation are what let concurrent readers
-// detect the overlap and retry.
+// The batch write methods construct Ops over it and DurableIndex
+// replays WAL records through it; the point writes below take the same
+// lock and sequence bumps without building an Op, so every path shares
+// identical semantics. The seqlock bumps around the mutation are what
+// let the batch and scan probes detect the overlap and retry.
 func (s *SyncIndex) Apply(op Op) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,14 +148,20 @@ func (s *SyncIndex) Apply(op Op) int {
 
 // Insert adds key with payload; see Index.Insert.
 func (s *SyncIndex) Insert(key float64, payload uint64) bool {
-	k, p := [1]float64{key}, [1]uint64{payload}
-	return s.Apply(Op{Kind: OpInsert, Keys: k[:], Payloads: p[:]}) > 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq.Add(1)
+	defer s.seq.Add(1)
+	return s.idx.Insert(key, payload)
 }
 
 // Delete removes key.
 func (s *SyncIndex) Delete(key float64) bool {
-	k := [1]float64{key}
-	return s.Apply(Op{Kind: OpDelete, Keys: k[:]}) > 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq.Add(1)
+	defer s.seq.Add(1)
+	return s.idx.Delete(key)
 }
 
 // Update overwrites the payload of an existing key. It takes the write
