@@ -8,7 +8,15 @@ package alex_test
 // Every payload is a pure function of its key, so the readers can
 // verify the fundamental seqlock guarantee on every single result: a
 // read returns either a value that was acked at some point or
-// not-found — never a torn or otherwise fabricated payload.
+// not-found — never a torn or otherwise fabricated payload. A stable
+// band of keys (every eighth grid key, interleaved with the churned
+// ones) is inserted up front and never deleted: a point or batch read
+// of one of them must find it, with its payload, every time — a
+// not-found there is a false negative the validation let through. To
+// make in-place writes move stable keys while readers probe them, half
+// of the writes and half of the point reads go to one hot window, and
+// writers also insert and delete keys between the grid keys, which
+// crowds the window's leaves into shifting inserts.
 //
 // On normal builds this exercises the real optimistic path (probes
 // racing mutations, revalidation discarding torn results). Under the
@@ -18,6 +26,7 @@ package alex_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,11 +59,21 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 		writers  = 2
 	)
 	keyAt := func(i int) float64 { return float64(i) * 1.25 }
+	// stable marks the band no writer ever deletes; stableAt maps any
+	// index to the band member of its group of eight.
+	stable := func(i int) bool { return i%8 == 1 }
+	stableAt := func(i int) int { return i&^7 | 1 }
+	const hotBase, hotWidth = keySpace / 3, 256
+	hot := func(rng *rand.Rand) int { return hotBase + rng.Intn(hotWidth) }
 
-	// Seed half the key space so readers hit immediately.
-	seed := make([]float64, 0, keySpace/2)
-	pays := make([]uint64, 0, keySpace/2)
-	for i := 0; i < keySpace; i += 2 {
+	// Seed half the key space so readers hit immediately, plus the
+	// stable band.
+	seed := make([]float64, 0, keySpace/2+keySpace/8)
+	pays := make([]uint64, 0, keySpace/2+keySpace/8)
+	for i := 0; i < keySpace; i++ {
+		if i%2 != 0 && !stable(i) {
+			continue
+		}
 		k := keyAt(i)
 		seed = append(seed, k)
 		pays = append(pays, stressPayload(k))
@@ -68,11 +87,20 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 
 	var stop atomic.Bool
 	var torn atomic.Int64
+	var lost atomic.Int64
 	var reads atomic.Int64
+	var writes atomic.Int64
 	var wg sync.WaitGroup
 
 	check := func(key float64, v uint64, ok bool) {
 		if ok && v != stressPayload(key) {
+			torn.Add(1)
+		}
+	}
+	checkStable := func(key float64, v uint64, ok bool) {
+		if !ok {
+			lost.Add(1)
+		} else if v != stressPayload(key) {
 			torn.Add(1)
 		}
 	}
@@ -88,12 +116,23 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 			scanK := make([]float64, 0, 64)
 			scanV := make([]uint64, 0, 64)
 			for !stop.Load() {
+				// Spinning readers would otherwise starve the writers,
+				// which park on the write lock and then queue for a P.
+				runtime.Gosched()
 				switch rng.Intn(3) {
-				case 0: // point gets
+				case 0: // point gets, half of them on the hot stable keys
 					for i := 0; i < 64; i++ {
-						k := keyAt(rng.Intn(keySpace))
+						j := rng.Intn(keySpace)
+						if i%2 == 0 {
+							j = stableAt(hot(rng))
+						}
+						k := keyAt(j)
 						v, ok := idx.Get(k)
-						check(k, v, ok)
+						if stable(j) {
+							checkStable(k, v, ok)
+						} else {
+							check(k, v, ok)
+						}
 						reads.Add(1)
 					}
 				case 1: // sorted batch get
@@ -103,7 +142,11 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 					}
 					idx.GetBatchInto(batch, vals, found)
 					for i := range batch {
-						check(batch[i], vals[i], found[i])
+						if stable(base + i*2) {
+							checkStable(batch[i], vals[i], found[i])
+						} else {
+							check(batch[i], vals[i], found[i])
+						}
 					}
 					reads.Add(int64(len(batch)))
 				case 2: // bounded scan: pairs must be self-consistent and ordered
@@ -128,14 +171,27 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(2000 + w)))
-			for !stop.Load() {
+			for n := 0; !stop.Load(); n++ {
+				if n%32 == 0 {
+					runtime.Gosched() // with one P, let the readers in
+				}
 				i := rng.Intn(keySpace)
+				if rng.Intn(2) == 0 {
+					i = hot(rng)
+				}
 				k := keyAt(i)
+				// between is a key off the grid, right of k: never stable.
+				between := k + 0.3125*float64(1+rng.Intn(3))
+				writes.Add(1)
 				switch rng.Intn(4) {
 				case 0:
 					idx.Insert(k, stressPayload(k))
+					idx.Insert(between, stressPayload(between))
 				case 1:
-					idx.Delete(k)
+					if !stable(i) {
+						idx.Delete(k)
+					}
+					idx.Delete(between)
 				case 2:
 					idx.Update(k, stressPayload(k))
 				case 3: // churn a small sorted run through the batch path
@@ -167,19 +223,26 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 		}()
 	}
 
-	// Run until the readers have validated a substantial number of
-	// results (with a wall-clock cap so a starved box still finishes).
-	deadline := time.Now().Add(20 * time.Second)
-	for reads.Load() < 400000 && time.Now().Before(deadline) {
+	// Run until the readers have validated, and the writers issued, a
+	// substantial number of operations. Wall-clock caps let a starved
+	// box finish: the write target gives up after 5 s (race-instrumented
+	// writers are an order of magnitude slower), the whole run after 20.
+	start := time.Now()
+	for time.Since(start) < 20*time.Second &&
+		(reads.Load() < 400000 || writes.Load() < 200000 && time.Since(start) < 5*time.Second) {
 		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
 	wg.Wait()
 
 	if n := torn.Load(); n != 0 {
-		t.Fatalf("%d torn/fabricated reads observed (of %d validated)", n, reads.Load())
+		t.Errorf("%d torn/fabricated reads observed (of %d validated)", n, reads.Load())
 	}
-	t.Logf("validated %d reads, 0 torn", reads.Load())
+	if n := lost.Load(); n != 0 {
+		t.Errorf("%d reads missed a key of the stable band (of %d validated)", n, reads.Load())
+	}
+	t.Logf("validated %d reads against %d writes: %d torn, %d stable keys missed",
+		reads.Load(), writes.Load(), torn.Load(), lost.Load())
 }
 
 // TestOptimisticStressSyncIndex races readers against writers and the

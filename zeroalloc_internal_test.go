@@ -116,3 +116,52 @@ func TestZeroAllocLockedReadPaths(t *testing.T) {
 	sh.SetOptimisticReads(false)
 	testZeroAllocReads(t, "ShardedIndex(locked)", sh, keys)
 }
+
+type writeSurface interface {
+	Insert(key float64, payload uint64) bool
+	Delete(key float64) bool
+	Update(key float64, payload uint64) bool
+}
+
+// Point writes on both wrappers must not allocate either: Insert into a
+// leaf with room claims a gap in place, Delete clears a slot, and
+// Update overwrites a payload. The wrappers once routed Insert and
+// Delete through Apply, whose one-element key and payload arrays
+// escaped to the heap through the batch closures.
+func TestZeroAllocPointWrites(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; assertions hold on normal builds only")
+	}
+	keys := allocKeys(20000)
+	sy, err := LoadSync(keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := LoadSharded(8, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		idx  writeSurface
+	}{{"SyncIndex", sy}, {"ShardedIndex", sh}} {
+		// Fresh keys between the stored ones in the middle of the key
+		// space: each Insert claims a gap of a leaf with room, and each
+		// Delete removes one of those keys again.
+		fresh := func(i int) float64 { return keys[len(keys)/2+i] + 0.5 }
+		ins, del := 0, 0
+		assertZeroAlloc(t, c.name+".Insert", func() {
+			c.idx.Insert(fresh(ins), 1)
+			ins++
+		})
+		assertZeroAlloc(t, c.name+".Delete", func() {
+			c.idx.Delete(fresh(del))
+			del++
+		})
+		i := 0
+		assertZeroAlloc(t, c.name+".Update", func() {
+			i++
+			c.idx.Update(keys[(i*31)%len(keys)], uint64(i))
+		})
+	}
+}
