@@ -667,9 +667,9 @@ func (s *ShardedIndex) Merge(keys []float64, payloads []uint64) int {
 // fanOut partitions keys and applies a write op to each involved shard
 // under its lock, summing the results. When a single shard is involved
 // — the common case for small batches — op runs inline on the caller;
-// otherwise each shard gets its own worker goroutine. withPos selects whether per-key input positions are
-// tracked for ops that scatter results or payloads (at is nil
-// otherwise). The whole fan-out holds the gate shared, so a router
+// otherwise each shard gets its own worker goroutine. withPos selects
+// whether per-key input positions are tracked for ops that scatter
+// results or payloads (at is nil otherwise). The whole fan-out holds the gate shared, so a router
 // retrain or snapshot never interleaves with a half-applied batch. A
 // write advances each shard's drift clock by its sub-batch length and
 // runs a due drift check once that shard's lock is released.
