@@ -12,7 +12,9 @@ package bitmapx
 import "math/bits"
 
 // Bitmap is a fixed-capacity bitset. The zero value is an empty bitmap of
-// capacity 0; use New for a sized one.
+// capacity 0; use New for a sized one. A data node holds its Bitmap by
+// value, so New and Clone return values; copying a Bitmap shares its
+// words, and only Clone duplicates them.
 type Bitmap struct {
 	words []uint64
 	n     int // capacity in bits
@@ -20,15 +22,15 @@ type Bitmap struct {
 }
 
 // New returns a bitmap able to hold n bits, all initially clear.
-func New(n int) *Bitmap {
-	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
+func New(n int) Bitmap {
+	return Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
 // Clone returns a deep copy of the bitmap. Copy-on-write node rebuilds
 // use it to duplicate a sealed node's occupancy before mutating the
 // copy.
-func (b *Bitmap) Clone() *Bitmap {
-	return &Bitmap{words: append([]uint64(nil), b.words...), n: b.n, count: b.count}
+func (b *Bitmap) Clone() Bitmap {
+	return Bitmap{words: append([]uint64(nil), b.words...), n: b.n, count: b.count}
 }
 
 // Len returns the capacity in bits.

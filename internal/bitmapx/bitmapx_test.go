@@ -195,14 +195,29 @@ func TestReset(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	if got := New(64).SizeBytes(); got != 8 {
-		t.Fatalf("SizeBytes(64) = %d", got)
+	for _, c := range []struct{ n, want int }{{64, 8}, {65, 16}, {0, 0}} {
+		b := New(c.n)
+		if got := b.SizeBytes(); got != c.want {
+			t.Fatalf("SizeBytes(%d) = %d, want %d", c.n, got, c.want)
+		}
 	}
-	if got := New(65).SizeBytes(); got != 16 {
-		t.Fatalf("SizeBytes(65) = %d", got)
+}
+
+// A copied Bitmap shares its words; Clone must not. Data nodes hold
+// their bitmap by value, so a clone-on-write that only copied the
+// struct would let the writer flip bits a snapshot still reads.
+func TestCloneIsDeep(t *testing.T) {
+	b := New(130)
+	b.Set(3)
+	b.Set(129)
+	c := b.Clone()
+	c.Set(64)
+	c.Clear(3)
+	if !b.Test(3) || b.Test(64) || b.Count() != 2 {
+		t.Fatalf("writing the clone changed the original: bit3=%v bit64=%v count=%d", b.Test(3), b.Test(64), b.Count())
 	}
-	if got := New(0).SizeBytes(); got != 0 {
-		t.Fatalf("SizeBytes(0) = %d", got)
+	if c.Test(3) || !c.Test(64) || !c.Test(129) || c.Count() != 2 || c.Len() != 130 {
+		t.Fatal("clone lost state")
 	}
 }
 

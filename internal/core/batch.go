@@ -90,7 +90,7 @@ func (t *Tree) GetBatch(keys []float64) ([]uint64, []bool) {
 
 // lookupGroup is how many keys GetBatchInto resolves in lockstep: enough
 // independent probes to keep the CPU's outstanding misses busy, few
-// enough that the per-group leaf and slot arrays stay on the stack.
+// enough that the per-group leaf array stays on the stack.
 const lookupGroup = 32
 
 // GetBatchInto is GetBatch into caller-supplied result slices (vals[i],
@@ -99,22 +99,21 @@ const lookupGroup = 32
 // order alike.
 //
 // A point lookup is a chain of dependent cache misses — inner nodes,
-// the leaf header, the predicted key slot, the payload — so batching
-// saves nothing by sharing descents: a real batch scatters over far
-// more leaves than it has keys per leaf. What it can do is overlap the
-// misses of independent keys (group prefetching, Chen et al. ICDE
-// 2004): each group of lookupGroup keys is resolved in three lockstep
-// passes — descend every key to its leaf array, run Find for every key,
-// read every payload — so one key's miss is in flight while the next
-// key's probe issues. Each pass is exactly Get's step, torn-probe
-// guards included: a nil leaf is a miss, and the payload read sits
-// behind Lookup's unsigned bound check.
+// the leaf header, the predicted slot — so batching saves nothing by
+// sharing descents: a real batch scatters over far more leaves than it
+// has keys per leaf. What it can do is overlap the misses of
+// independent keys (group prefetching, Chen et al. ICDE 2004): each
+// group of lookupGroup keys is resolved in two lockstep passes —
+// descend every key to its leaf array, then probe every key, which
+// reads its payload from the slot the key compare hit — so one key's
+// miss is in flight while the next key's probe issues. Each pass is
+// exactly Get's step, torn-probe guards included: a nil leaf is a miss,
+// and Lookup's unsigned bound check keeps the probe in bounds.
 func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		panic("core: GetBatchInto result slices must have len(keys)")
 	}
 	var leaves [lookupGroup]*leafbase.Base
-	var slots [lookupGroup]int
 	for lo := 0; lo < len(keys); lo += lookupGroup {
 		ks := keys[lo:min(lo+lookupGroup, len(keys))]
 		vs, fs := vals[lo:lo+len(ks)], found[lo:lo+len(ks)]
@@ -129,15 +128,9 @@ func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 			}
 		}
 		for i, k := range ks {
-			slots[i] = -1
-			if b := leaves[i]; b != nil {
-				slots[i] = b.Find(k)
-			}
-		}
-		for i := range ks {
 			vs[i], fs[i] = 0, false
-			if b := leaves[i]; b != nil && uint(slots[i]) < uint(len(b.Payloads)) {
-				vs[i], fs[i] = b.Payloads[slots[i]], true
+			if b := leaves[i]; b != nil {
+				vs[i], fs[i] = b.Lookup(k)
 			}
 		}
 	}
@@ -316,6 +309,9 @@ func (t *Tree) mergeIntoEmpty(keys []float64, payloads []uint64) int {
 		}
 	}
 	nt := bulkLoadSorted(uk, up, t.cfg)
+	for l := t.head.Load(); l != nil; l = l.next.Load() {
+		t.replaced.Add(l.data().BaseStats())
+	}
 	old := t.root.Load()
 	t.head.Store(nt.head.Load())
 	t.root.Store(nt.root.Load())

@@ -277,6 +277,10 @@ type Tree struct {
 	count        int
 	splits       uint64
 	costRetrains uint64
+	// replaced sums the work counters of the leaves a split or a rebuild
+	// took out of the chain: their replacements start counting at zero,
+	// so Stats adds this to the live leaves' counters.
+	replaced leafbase.Stats
 }
 
 // SetRetireHook installs the unpublish callback for epoch-based
@@ -725,6 +729,7 @@ func (t *Tree) splitLeaf(leaf, parent *node) bool {
 			}
 		}
 	}
+	t.replaced.Add(leaf.data().BaseStats())
 	t.retireObj(leaf)
 	t.splits++
 	return true
@@ -871,9 +876,11 @@ func (t *Tree) Height() int {
 }
 
 // Stats aggregates counters over the whole tree, including the
-// error-bound distribution the cost model maintains per leaf.
+// error-bound distribution the cost model maintains per leaf. Work
+// counters include the work of leaves that splits and rebuilds
+// replaced.
 func (t *Tree) Stats() Stats {
-	var s Stats
+	s := Stats{Stats: t.replaced}
 	s.Splits = t.splits
 	s.CostRetrains = t.costRetrains
 	s.Height = t.Height()

@@ -1,12 +1,14 @@
 // Package leafbase implements the storage core of ALEX's data node, the
 // Gapped Array of §3.3.1:
 //
-//   - a key array with gaps, where every gap slot duplicates the key of
-//     the closest occupied slot to its right (trailing gaps hold +Inf),
-//     so the array is always non-decreasing and exponential search works
-//     without consulting the bitmap;
+//   - one array of {key, payload} slots with gaps, where every gap
+//     duplicates the whole slot — key and payload — of the closest
+//     occupied slot to its right (trailing gaps hold {+Inf, 0}), so the
+//     keys are always non-decreasing, exponential search works without
+//     consulting the bitmap, and any slot whose key equals a stored key
+//     holds that key's payload: a point read touches the slot array only;
 //   - an occupancy bitmap distinguishing real elements from gaps
-//     (§5.2.3);
+//     (§5.2.3), which writes, scans and the writer-side Find consult;
 //   - a per-node linear model with model-based inserts, lookups by
 //     exponential search from the predicted position (Alg 3), and
 //     model-based re-insertion during node rebuilds;
@@ -27,7 +29,6 @@ import (
 
 	"repro/internal/bitmapx"
 	"repro/internal/linmodel"
-	"repro/internal/search"
 )
 
 // Stats counts the work a data node performs, in units the paper reports:
@@ -98,6 +99,15 @@ func SetBoundedSearch(on bool) {
 	}
 }
 
+// Slot is one position of a data node's array: an element, or a gap
+// holding a copy of the closest element to its right ({+Inf, 0} when
+// there is none). Key and payload share the slot so a hit costs one
+// cache line, not one in a key array and another in a payload array.
+type Slot struct {
+	Key     float64
+	Payload uint64
+}
+
 // Base is the storage core of a data node. It is not safe for concurrent
 // use; like the system evaluated in the paper, the index is single-writer.
 type Base struct {
@@ -109,18 +119,21 @@ type Base struct {
 	//alex:atomic
 	Ver uint64
 
-	Keys     []float64 // len == capacity; gaps duplicate nearest right key
-	Payloads []uint64
-	Occ      *bitmapx.Bitmap
-	Model    linmodel.Model
-	NumKeys  int
-	Stats    Stats
+	// Slots has len == capacity; every gap is a copy of the nearest
+	// occupied slot to its right, key and payload (the fill rule).
+	Slots []Slot
+	// Occ marks the occupied slots. It is held by value: one allocation
+	// and one dependent load fewer than a pointer on every write.
+	Occ     bitmapx.Bitmap
+	Model   linmodel.Model
+	NumKeys int
+	Stats   Stats
 
-	// capF caches float64(len(Keys)) so the hot predict path clamps the
+	// capF caches float64(len(Slots)) so the hot predict path clamps the
 	// model output entirely in float registers: one FMA for the model,
 	// two float compares for the clamp, one conversion for the result —
 	// no per-lookup int→float conversion of the capacity. Maintained by
-	// Init alongside every (re)allocation of Keys.
+	// Init alongside every (re)allocation of Slots.
 	capF float64
 
 	// ErrBound is an upper bound on |occupied slot - predicted slot|
@@ -171,11 +184,10 @@ func (b *Base) Init(capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	b.Keys = make([]float64, capacity)
-	for i := range b.Keys {
-		b.Keys[i] = math.Inf(1)
+	b.Slots = make([]Slot, capacity)
+	for i := range b.Slots {
+		b.Slots[i].Key = math.Inf(1)
 	}
-	b.Payloads = make([]uint64, capacity)
 	b.Occ = bitmapx.New(capacity)
 	b.Model = linmodel.Model{}
 	b.HasModel = false
@@ -187,7 +199,7 @@ func (b *Base) Init(capacity int) {
 }
 
 // Cap returns the slot capacity of the node.
-func (b *Base) Cap() int { return len(b.Keys) }
+func (b *Base) Cap() int { return len(b.Slots) }
 
 // BaseStats returns the node's work counters.
 func (b *Base) BaseStats() *Stats { return &b.Stats }
@@ -197,10 +209,10 @@ func (b *Base) Num() int { return b.NumKeys }
 
 // Density returns NumKeys / capacity.
 func (b *Base) Density() float64 {
-	if len(b.Keys) == 0 {
+	if len(b.Slots) == 0 {
 		return 0
 	}
-	return float64(b.NumKeys) / float64(len(b.Keys))
+	return float64(b.NumKeys) / float64(len(b.Slots))
 }
 
 // predictFast is the hot-path slot prediction: the model's FMA clamped
@@ -208,18 +220,18 @@ func (b *Base) Density() float64 {
 // conversion. Callers must ensure HasModel; the cold-start regime goes
 // through predictSlot.
 //
-// The final integer clamp re-checks against len(Keys) even though a
-// consistent node always has capF == len(Keys): optimistic readers
-// (see the root package's seqlock protocol) probe nodes that may be
-// mid-rebuild, where capF and Keys can be observed torn, and the read
-// path must degrade to a wrong-but-in-bounds slot — whose result the
-// sequence validation then discards — never to an index panic.
+// The final integer clamp re-checks against len(Slots) even though a
+// consistent node always has capF == len(Slots): the read path must
+// degrade to a wrong-but-in-bounds slot on any state an optimistic
+// reader (see the root package's seqlock protocol) can observe — whose
+// result the sequence validation then discards — never to an index
+// panic.
 func (b *Base) predictFast(key float64) int {
 	p := math.Floor(b.Model.Slope*key + b.Model.Intercept)
 	if !(p > 0) { // negative, -0, or NaN
 		return 0
 	}
-	i := len(b.Keys) - 1
+	i := len(b.Slots) - 1
 	if p < b.capF {
 		if j := int(p); j < i {
 			i = j
@@ -233,7 +245,7 @@ func (b *Base) predictFast(key float64) int {
 // regime.
 func (b *Base) predictSlot(key float64) int {
 	if !b.HasModel {
-		return search.LowerBound(b.Keys, key)
+		return lowerBound(b.Slots, key, 0, len(b.Slots))
 	}
 	return b.predictFast(key)
 }
@@ -242,83 +254,77 @@ func (b *Base) predictSlot(key float64) int {
 // is >= key, locating it by exponential search from the model prediction.
 func (b *Base) LowerBoundSlot(key float64) int {
 	if !b.HasModel {
-		return search.LowerBoundBranchless(b.Keys, key)
+		return lowerBound(b.Slots, key, 0, len(b.Slots))
 	}
-	return search.ExponentialBranchless(b.Keys, key, b.predictFast(key))
+	return exponential(b.Slots, key, b.predictFast(key))
 }
 
-// Find returns the occupied slot holding key, or -1.
+// probe returns a slot that holds key when key is stored; for an absent
+// key the slot it returns, if it is in range at all, holds another key.
+// Lookup and Find share it.
 //
 // The common case pays one model FMA and one key comparison: model-based
 // insertion places elements at (or next to) their predicted slots, so
 // the prediction usually lands exactly on the key — or on one of the gap
-// fills duplicating it, in which case the element is the next occupied
-// slot. Only a miss searches, and the leaf's error bound picks the
-// strategy (§4 cost model): a bound that fits the bounded window
-// resolves the probe with a handful of *independent* branch-free
+// fills duplicating it. Only a miss searches, and the leaf's error bound
+// picks the strategy (§4 cost model): a bound that fits the bounded
+// window resolves the probe with a handful of *independent* branch-free
 // compares around the prediction — no bracketing loop, no serial
 // dependency chain — while a high-error leaf keeps exponential search,
 // whose cost scales with log(error) rather than log(node).
 //
 // Bounded search is exact here even though ErrBound only covers stored
 // keys: for a stored key the occupied slot s satisfies |s - pos| <=
-// ErrBound, and the gap fills left of s duplicate its key, so the
-// window's lower bound lands on a slot holding the key and the bitmap
-// walk below reaches s. For an absent key the window result may not be
-// the true lower bound, but its slot can never *equal* the key (fills
-// only duplicate stored keys), so the equality check reports the miss
-// exactly as the exponential path would. The direct-hit compare already
-// established which side of pos the key is on, so the window is
-// one-sided: e+1 slots, not 2e+1. (k < key is false for a NaN key, and
-// the left window then misses.)
-func (b *Base) Find(key float64) int {
-	var lo int
-	if b.HasModel {
-		pos := b.predictFast(key)
-		if k := b.Keys[pos]; k != key {
-			if e := b.ErrBound; e <= boundedMax {
-				if k < key {
-					lo = search.LowerBoundLinear(b.Keys, key, pos+1, pos+e+1)
-				} else {
-					lo = search.LowerBoundLinear(b.Keys, key, pos-e, pos+1)
-				}
-			} else {
-				lo = search.ExponentialBranchless(b.Keys, key, pos)
-			}
-			if lo >= len(b.Keys) || b.Keys[lo] != key {
-				return -1
-			}
-		} else {
-			if b.Occ.Test(pos) {
-				return pos // direct hit at the predicted slot
-			}
-			lo = pos // a gap fill duplicating the key: element is to the right
-		}
-	} else {
-		lo = search.LowerBoundBranchless(b.Keys, key)
-		if lo >= len(b.Keys) || b.Keys[lo] != key {
-			return -1
-		}
+// ErrBound, and the gap fills left of s duplicate it, so the window's
+// lower bound lands on a slot holding the key. For an absent key the
+// window result may not be the true lower bound, but its slot can never
+// *equal* the key (fills only duplicate stored keys), so the caller's
+// equality check reports the miss exactly as the exponential path
+// would. The direct-hit compare already established which side of pos
+// the key is on, so the window is one-sided: e+1 slots, not 2e+1. (k <
+// key is false for a NaN key, and the left window then misses.)
+func (b *Base) probe(key float64) int {
+	if !b.HasModel {
+		return lowerBound(b.Slots, key, 0, len(b.Slots))
 	}
-	// The unsigned compare folds occ < 0 and occ >= len(Keys) into one
-	// branch. The upper bound can only trip for optimistic readers that
-	// caught the bitmap and key array mid-swap (a consistent node's
-	// bitmap never returns a slot past its own capacity); they must get
-	// a miss, not a panic — the sequence validation discards it.
-	occ := b.Occ.NextSet(lo)
-	if uint(occ) >= uint(len(b.Keys)) || b.Keys[occ] != key {
-		return -1
+	pos := b.predictFast(key)
+	k := b.Slots[pos].Key
+	switch e := b.ErrBound; {
+	case k == key:
+		return pos // direct hit: the element, or a fill duplicating it
+	case e > boundedMax:
+		return exponential(b.Slots, key, pos)
+	case k < key:
+		return lowerBoundLinear(b.Slots, key, pos+1, pos+e+1)
+	default:
+		return lowerBoundLinear(b.Slots, key, pos-e, pos+1)
 	}
-	return occ
 }
 
-// Lookup returns the payload stored for key. The payload bound check
-// mirrors Find's: torn probes degrade to misses, never panics.
+// Lookup returns the payload stored for key. It reads the slot array
+// only: by the fill rule a slot whose key equals a stored key holds that
+// key's payload, whether it is the element or a gap left of it. Stored
+// keys are finite, so the +Inf test keeps a probe for +Inf off the tail
+// fills. The one unsigned bound check makes a probe of any state an
+// optimistic reader can observe degrade to a miss, never a panic.
 func (b *Base) Lookup(key float64) (uint64, bool) {
-	if i := b.Find(key); uint(i) < uint(len(b.Payloads)) {
-		return b.Payloads[i], true
+	s := b.Slots
+	if i := b.probe(key); uint(i) < uint(len(s)) && s[i].Key == key && key < math.Inf(1) {
+		return s[i].Payload, true
 	}
 	return 0, false
+}
+
+// Find returns the occupied slot holding key, or -1. It probes like
+// Lookup and then walks the bitmap from the probed slot to the element
+// the fill duplicates (a tail fill has none, so +Inf misses); the
+// writers (Delete, Update) use it.
+func (b *Base) Find(key float64) int {
+	s := b.Slots
+	if i := b.probe(key); uint(i) < uint(len(s)) && s[i].Key == key {
+		return b.Occ.NextSet(i)
+	}
+	return -1
 }
 
 // PredictionError returns |predicted slot - actual slot| for an existing
@@ -384,18 +390,30 @@ func (b *Base) noteInsertErr(slot, pred int) {
 func (b *Base) Update(key float64, payload uint64) bool {
 	if i := b.Find(key); i >= 0 {
 		b.beginWrite()
-		b.Payloads[i] = payload
+		b.setPayload(i, payload)
 		b.endWrite()
 		return true
 	}
 	return false
 }
 
+// setPayload overwrites the payload of the element in occupied slot occ
+// and of the gap run left of it, whose fills duplicate the element: the
+// run is exactly the slots left of occ that hold its key. Callers hold
+// Ver odd.
+func (b *Base) setPayload(occ int, payload uint64) {
+	s := b.Slots
+	key := s[occ].Key
+	for i := occ; i >= 0 && s[i].Key == key; i-- {
+		s[i].Payload = payload
+	}
+}
+
 // LowerBoundOcc returns the first occupied slot whose key is >= key, or
 // -1 when no such element exists. Range scans start here.
 func (b *Base) LowerBoundOcc(key float64) int {
 	lo := b.LowerBoundSlot(key)
-	if lo >= len(b.Keys) {
+	if lo >= len(b.Slots) {
 		return -1
 	}
 	return b.Occ.NextSet(lo)
@@ -406,7 +424,7 @@ func (b *Base) LowerBoundOcc(key float64) int {
 // returned false), so multi-node scans know when to stop.
 func (b *Base) ScanFrom(start float64, visit func(key float64, payload uint64) bool) bool {
 	for i := b.LowerBoundOcc(start); i >= 0; i = b.Occ.NextSet(i + 1) {
-		if !visit(b.Keys[i], b.Payloads[i]) {
+		if !visit(b.Slots[i].Key, b.Slots[i].Payload) {
 			return true
 		}
 	}
@@ -422,8 +440,8 @@ func (b *Base) ScanFrom(start float64, visit func(key float64, payload uint64) b
 func (b *Base) AppendFrom(start float64, max int, keys []float64, payloads []uint64) ([]float64, []uint64) {
 	i := b.LowerBoundOcc(start)
 	for ; i >= 0 && max > 0; i = b.Occ.NextSet(i + 1) {
-		keys = append(keys, b.Keys[i])
-		payloads = append(payloads, b.Payloads[i])
+		keys = append(keys, b.Slots[i].Key)
+		payloads = append(payloads, b.Slots[i].Payload)
 		max--
 	}
 	return keys, payloads
@@ -443,7 +461,7 @@ func (b *Base) At(slot int) (float64, uint64) {
 	if !b.Occ.Test(slot) {
 		panic("leafbase: At on a gap slot")
 	}
-	return b.Keys[slot], b.Payloads[slot]
+	return b.Slots[slot].Key, b.Slots[slot].Payload
 }
 
 // MinKey returns the smallest stored key.
@@ -452,16 +470,16 @@ func (b *Base) MinKey() (float64, bool) {
 	if i < 0 {
 		return 0, false
 	}
-	return b.Keys[i], true
+	return b.Slots[i].Key, true
 }
 
 // MaxKey returns the largest stored key.
 func (b *Base) MaxKey() (float64, bool) {
-	i := b.Occ.PrevSet(len(b.Keys) - 1)
+	i := b.Occ.PrevSet(len(b.Slots) - 1)
 	if i < 0 {
 		return 0, false
 	}
-	return b.Keys[i], true
+	return b.Slots[i].Key, true
 }
 
 // Collect appends the node's elements in key order to the given slices
@@ -474,8 +492,8 @@ func (b *Base) Collect(keys []float64, payloads []uint64) ([]float64, []uint64) 
 		payloads = make([]uint64, 0, b.NumKeys)
 	}
 	for i := b.Occ.NextSet(0); i >= 0; i = b.Occ.NextSet(i + 1) {
-		keys = append(keys, b.Keys[i])
-		payloads = append(payloads, b.Payloads[i])
+		keys = append(keys, b.Slots[i].Key)
+		payloads = append(payloads, b.Slots[i].Payload)
 	}
 	return keys, payloads
 }
@@ -503,12 +521,12 @@ const (
 //
 // NeedRoom is returned when the node is full.
 func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
-	cap := len(b.Keys)
+	cap := len(b.Slots)
 	lo := b.LowerBoundSlot(key)
-	if lo < cap && b.Keys[lo] == key {
-		if occ := b.Occ.NextSet(lo); occ >= 0 && b.Keys[occ] == key {
+	if lo < cap && b.Slots[lo].Key == key {
+		if occ := b.Occ.NextSet(lo); occ >= 0 {
 			b.beginWrite()
-			b.Payloads[occ] = payload
+			b.setPayload(occ, payload)
 			b.endWrite()
 			return Duplicate
 		}
@@ -548,9 +566,14 @@ func (b *Base) PlaceModelBased(key float64, payload uint64) InsertResult {
 			q = hi
 		}
 		b.beginWrite()
-		b.fillRange(lo, q, key)
-		b.Keys[q] = key
-		b.Payloads[q] = payload
+		// The claimed slot and the gaps left of it in range now duplicate
+		// the new element; the gaps right of it still duplicate firstOcc.
+		// No gap left of lo needs repair: lo is the lower bound, so slot
+		// lo-1 (if any) holds a smaller key and is therefore occupied.
+		fill := b.Slots[lo : q+1]
+		for i := range fill {
+			fill[i] = Slot{key, payload}
+		}
 		b.Occ.Set(q)
 		b.NumKeys++
 		b.Stats.Inserts++
@@ -580,27 +603,28 @@ func (b *Base) insertWithShift(key float64, payload uint64, lo int) {
 	if lo > 0 {
 		gapL = b.Occ.PrevClear(lo - 1)
 	}
-	if lo < len(b.Keys) {
+	if lo < len(b.Slots) {
 		gapR = b.Occ.NextClear(lo)
 	}
+	// Whole slots move, so no fill needs repair: the slot left of the
+	// lower bound lo is occupied (a gap there would duplicate a key >=
+	// key), and the gaps left of a left shift's gapL duplicated the
+	// element at gapL+1, which moves into gapL.
+	s := b.Slots
 	var at, runLo, runHi int
 	switch {
 	case gapR >= 0 && (gapL < 0 || gapR-lo <= lo-gapL):
 		// Shift [lo, gapR-1] right by one; insert at lo.
-		copy(b.Keys[lo+1:gapR+1], b.Keys[lo:gapR])
-		copy(b.Payloads[lo+1:gapR+1], b.Payloads[lo:gapR])
+		copy(s[lo+1:gapR+1], s[lo:gapR])
 		b.Occ.Set(gapR)
-		b.Keys[lo] = key
-		b.Payloads[lo] = payload
+		s[lo] = Slot{key, payload}
 		at, runLo, runHi = lo, lo+1, gapR
 		b.Stats.Shifts += uint64(gapR - lo)
 	default:
 		// Shift [gapL+1, lo-1] left by one; insert at lo-1.
-		copy(b.Keys[gapL:lo-1], b.Keys[gapL+1:lo])
-		copy(b.Payloads[gapL:lo-1], b.Payloads[gapL+1:lo])
+		copy(s[gapL:lo-1], s[gapL+1:lo])
 		b.Occ.Set(gapL)
-		b.Keys[lo-1] = key
-		b.Payloads[lo-1] = payload
+		s[lo-1] = Slot{key, payload}
 		at, runLo, runHi = lo-1, gapL, lo-2
 		b.Stats.Shifts += uint64(lo - 1 - gapL)
 	}
@@ -625,15 +649,7 @@ func (b *Base) insertWithShift(key float64, payload uint64, lo int) {
 // re-placed.
 func (b *Base) noteRunErr(lo, hi int) {
 	for i := b.Occ.NextSet(lo); i >= 0 && i <= hi; i = b.Occ.NextSet(i + 1) {
-		b.noteInsertErr(i, b.predictFast(b.Keys[i]))
-	}
-}
-
-// fillRange rewrites the gap fills in [from, to) to value, maintaining the
-// "gap duplicates closest right key" invariant after a placement at 'to'.
-func (b *Base) fillRange(from, to int, value float64) {
-	for i := from; i < to; i++ {
-		b.Keys[i] = value
+		b.noteInsertErr(i, b.predictFast(b.Slots[i].Key))
 	}
 }
 
@@ -647,13 +663,13 @@ func (b *Base) Delete(key float64) bool {
 	b.beginWrite()
 	b.Occ.Clear(occ)
 	// The slot and any gaps immediately to its left must now duplicate
-	// the next occupied key to the right (or +Inf at the tail).
-	fill := math.Inf(1)
+	// the next occupied slot to the right (or {+Inf, 0} at the tail).
+	fill := Slot{Key: math.Inf(1)}
 	if n := b.Occ.NextSet(occ + 1); n >= 0 {
-		fill = b.Keys[n]
+		fill = b.Slots[n]
 	}
 	for i := occ; i >= 0 && !b.Occ.Test(i); i-- {
-		b.Keys[i] = fill
+		b.Slots[i] = fill
 	}
 	b.endWrite()
 	b.NumKeys--
@@ -716,8 +732,7 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 		if maxPos := capacity - (n - i); pos > maxPos {
 			pos = maxPos
 		}
-		b.Keys[pos] = keys[i]
-		b.Payloads[pos] = payloads[i]
+		b.Slots[pos] = Slot{keys[i], payloads[i]}
 		b.Occ.Set(pos)
 		if b.HasModel {
 			// The rebuild is where the bound is exact, for free: the
@@ -731,31 +746,34 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 	b.rebuildErr = b.ErrBound
 }
 
-// repairAllFills rewrites every gap to duplicate its closest right key.
+// repairAllFills rewrites every gap to duplicate its closest right slot.
 func (b *Base) repairAllFills() {
-	fill := math.Inf(1)
-	for i := len(b.Keys) - 1; i >= 0; i-- {
+	fill := Slot{Key: math.Inf(1)}
+	for i := len(b.Slots) - 1; i >= 0; i-- {
 		if b.Occ.Test(i) {
-			fill = b.Keys[i]
+			fill = b.Slots[i]
 		} else {
-			b.Keys[i] = fill
+			b.Slots[i] = fill
 		}
 	}
 }
 
 // DataSizeBytes accounts the node's data storage per §5.1: the allocated
-// key and payload arrays including gaps, plus the bitmap.
+// keys and payloads including gaps, plus the bitmap. The formula prices
+// a payload at payloadBytes whatever the in-memory slot holds, so the
+// figures compare with the paper's and across layouts.
 func (b *Base) DataSizeBytes(payloadBytes int) int {
-	return len(b.Keys)*8 + len(b.Payloads)*payloadBytes + b.Occ.SizeBytes()
+	return len(b.Slots)*8 + len(b.Slots)*payloadBytes + b.Occ.SizeBytes()
 }
 
 // ErrInvariant is wrapped by all CheckInvariants failures.
 var ErrInvariant = errors.New("leafbase: invariant violated")
 
 // CheckInvariants verifies the structural invariants of the node:
-// the bitmap count matches NumKeys, the full key array (fills included)
-// is non-decreasing, occupied keys are strictly increasing and finite,
-// every gap duplicates its closest right key (or +Inf at the tail), and
+// the bitmap count matches NumKeys, the keys of all slots (fills
+// included) are non-decreasing, occupied keys are strictly increasing
+// and finite, every gap is a copy of its closest right occupied slot —
+// key and payload — (or {+Inf, 0} at the tail), and
 // — on modeled nodes — ErrBound is a true upper bound on every stored
 // key's prediction error (verified by exhaustive re-prediction, so any
 // test that checks invariants after a mutation sequence also audits the
@@ -764,15 +782,16 @@ func (b *Base) CheckInvariants() error {
 	if b.Occ.Count() != b.NumKeys {
 		return fmt.Errorf("%w: bitmap count %d != NumKeys %d", ErrInvariant, b.Occ.Count(), b.NumKeys)
 	}
-	if b.Occ.Len() != len(b.Keys) || len(b.Keys) != len(b.Payloads) {
-		return fmt.Errorf("%w: capacity mismatch keys=%d payloads=%d bitmap=%d",
-			ErrInvariant, len(b.Keys), len(b.Payloads), b.Occ.Len())
+	if b.Occ.Len() != len(b.Slots) {
+		return fmt.Errorf("%w: capacity mismatch slots=%d bitmap=%d",
+			ErrInvariant, len(b.Slots), b.Occ.Len())
 	}
 	prev := math.Inf(-1)
 	prevOcc := math.Inf(-1)
-	for i, k := range b.Keys {
+	for i, sl := range b.Slots {
+		k := sl.Key
 		if k < prev {
-			return fmt.Errorf("%w: keys[%d]=%v < keys[%d]=%v", ErrInvariant, i, k, i-1, prev)
+			return fmt.Errorf("%w: slot %d key %v < slot %d key %v", ErrInvariant, i, k, i-1, prev)
 		}
 		prev = k
 		if b.Occ.Test(i) {
@@ -791,12 +810,12 @@ func (b *Base) CheckInvariants() error {
 				}
 			}
 		} else {
-			want := math.Inf(1)
+			want := Slot{Key: math.Inf(1)}
 			if n := b.Occ.NextSet(i); n >= 0 {
-				want = b.Keys[n]
+				want = b.Slots[n]
 			}
-			if k != want {
-				return fmt.Errorf("%w: gap fill at %d is %v, want %v", ErrInvariant, i, k, want)
+			if sl != want {
+				return fmt.Errorf("%w: gap fill at %d is %+v, want %+v", ErrInvariant, i, sl, want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package leafbase
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -30,9 +31,9 @@ func TestInitEmpty(t *testing.T) {
 	if b.Cap() != 10 || b.Num() != 0 {
 		t.Fatalf("cap=%d num=%d", b.Cap(), b.Num())
 	}
-	for i, k := range b.Keys {
-		if !math.IsInf(k, 1) {
-			t.Fatalf("slot %d not +Inf fill: %v", i, k)
+	for i, sl := range b.Slots {
+		if sl != (Slot{Key: math.Inf(1)}) {
+			t.Fatalf("slot %d not a {+Inf, 0} tail fill: %+v", i, sl)
 		}
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -40,6 +41,9 @@ func TestInitEmpty(t *testing.T) {
 	}
 	if _, ok := b.Lookup(1); ok {
 		t.Fatal("lookup on empty")
+	}
+	if _, ok := b.Lookup(math.Inf(1)); ok {
+		t.Fatal("lookup of +Inf hit a tail fill")
 	}
 	if _, ok := b.MinKey(); ok {
 		t.Fatal("MinKey on empty")
@@ -176,8 +180,7 @@ func TestShiftReachesNearestGap(t *testing.T) {
 	b.Init(16)
 	// Occupy slots 0..7 with keys 0..7 (a full "segment"), leave 8..15 free.
 	for i := 0; i < 8; i++ {
-		b.Keys[i] = float64(i)
-		b.Payloads[i] = uint64(i)
+		b.Slots[i] = Slot{float64(i), uint64(i)}
 		b.Occ.Set(i)
 		b.NumKeys++
 	}
@@ -193,8 +196,8 @@ func TestShiftReachesNearestGap(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Keys[4] != 3.5 || b.Keys[8] != 7 || b.Stats.Shifts != 4 {
-		t.Fatalf("slot 4 = %v, slot 8 = %v, shifts = %d; want 3.5, 7, 4", b.Keys[4], b.Keys[8], b.Stats.Shifts)
+	if b.Slots[4] != (Slot{3.5, 9}) || b.Slots[8] != (Slot{7, 7}) || b.Stats.Shifts != 4 {
+		t.Fatalf("slot 4 = %+v, slot 8 = %+v, shifts = %d; want {3.5 9}, {7 7}, 4", b.Slots[4], b.Slots[8], b.Stats.Shifts)
 	}
 }
 
@@ -252,15 +255,25 @@ func TestDataSizeBytes(t *testing.T) {
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	b := buildBase(seq(20, 1), 40)
-	// Corrupt a gap fill.
-	for i := range b.Keys {
-		if !b.Occ.Test(i) {
-			b.Keys[i] = -1
-			break
-		}
-	}
+	// Corrupt a gap fill's key.
+	gap := b.Occ.NextClear(0)
+	b.Slots[gap].Key = -1
 	if err := b.CheckInvariants(); err == nil {
 		t.Fatal("corrupt fill not detected")
+	}
+	// Corrupt only a gap fill's payload: a point read hitting the fill
+	// would return it, so the invariant must cover payloads too.
+	b1 := buildBase(seq(20, 1), 40)
+	gap = b1.Occ.NextClear(0)
+	b1.Slots[gap].Payload++
+	if err := b1.CheckInvariants(); err == nil {
+		t.Fatal("stale fill payload not detected")
+	}
+	// A tail fill must be exactly {+Inf, 0}.
+	b3 := buildBase(seq(20, 1), 40)
+	b3.Slots[len(b3.Slots)-1].Payload = 1
+	if err := b3.CheckInvariants(); err == nil {
+		t.Fatal("nonzero tail payload not detected")
 	}
 	// Corrupt the count.
 	b2 := buildBase(seq(20, 1), 40)
@@ -410,5 +423,151 @@ func TestVerBracketsInPlaceWrites(t *testing.T) {
 	step("need room", 0, func() { b.PlaceModelBased(1000, 1) })
 	if _, _, valid := b.LookupValidated(1); !valid {
 		t.Fatal("LookupValidated invalid with no writer")
+	}
+}
+
+// TestSlotFillPropertyRandomOps drives one node through seeded random
+// model-based inserts (new keys and duplicates), updates, deletes, and
+// copy-on-write expands and retrains, checking the invariants — the
+// whole-slot fill rule included — after every operation and every
+// stored payload against a reference map. Updates and duplicate inserts
+// write fresh payloads, so a write that skips the gap run left of its
+// element leaves a stale fill behind and fails here.
+func TestSlotFillPropertyRandomOps(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys := seq(64, 4)
+		b := buildBase(keys, 96)
+		ref := make(map[float64]uint64, len(keys))
+		for i, k := range keys {
+			ref[k] = uint64(i) + 1
+		}
+		// Clustered keys between the grid points crowd runs together,
+		// so inserts also take the shift path.
+		key := func() float64 {
+			if rng.Intn(3) == 0 {
+				return 100 + float64(rng.Intn(64))/16
+			}
+			return float64(rng.Intn(400)) * 0.75
+		}
+		for op := 0; op < 3000; op++ {
+			k := key()
+			v := rng.Uint64()
+			what := ""
+			switch r := rng.Intn(20); {
+			case r < 8:
+				what = "insert"
+				switch b.PlaceModelBased(k, v) {
+				case NeedRoom:
+					what = "expand+insert"
+					c := cowRebuild(t, b, b.Cap()*3/2+1)
+					if c.PlaceModelBased(k, v) == NeedRoom {
+						t.Fatalf("seed %d op %d: no room after expanding", seed, op)
+					}
+					b = c
+				case Duplicate:
+					if _, ok := ref[k]; !ok {
+						t.Fatalf("seed %d op %d: Duplicate for absent key %v", seed, op, k)
+					}
+				}
+				ref[k] = v
+			case r < 10:
+				// A duplicate insert of a stored key, the case that must
+				// rewrite the fills left of the element.
+				what = "duplicate"
+				for try := 0; try < 64; try++ {
+					if _, had := ref[k]; had {
+						break
+					}
+					k = key()
+				}
+				_, had := ref[k]
+				if got := b.PlaceModelBased(k, v); had && got != Duplicate {
+					t.Fatalf("seed %d op %d: stored key %v not reported Duplicate", seed, op, k)
+				} else if got == NeedRoom {
+					continue // absent key on a full node; the insert case expands
+				}
+				ref[k] = v
+			case r < 14:
+				what = "update"
+				_, had := ref[k]
+				if got := b.Update(k, v); got != had {
+					t.Fatalf("seed %d op %d: Update(%v) = %v, want %v", seed, op, k, got, had)
+				}
+				if had {
+					ref[k] = v
+				}
+			case r < 19:
+				what = "delete"
+				_, had := ref[k]
+				if got := b.Delete(k); got != had {
+					t.Fatalf("seed %d op %d: Delete(%v) = %v, want %v", seed, op, k, got, had)
+				}
+				delete(ref, k)
+			default:
+				what = "retrain"
+				b = cowRebuild(t, b, len(ref)*3/2+1)
+			}
+			if err := b.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d (%s %v): %v", seed, op, what, k, err)
+			}
+			got, ok := b.Lookup(k)
+			if want, had := ref[k]; ok != had || got != want {
+				t.Fatalf("seed %d op %d (%s %v): Lookup = %d,%v; want %d,%v", seed, op, what, k, got, ok, want, had)
+			}
+			if b.Num() != len(ref) {
+				t.Fatalf("seed %d op %d: Num = %d, want %d", seed, op, b.Num(), len(ref))
+			}
+		}
+		for k, want := range ref {
+			if got, ok := b.Lookup(k); !ok || got != want {
+				t.Fatalf("seed %d: final Lookup(%v) = %d,%v; want %d", seed, k, got, ok, want)
+			}
+		}
+	}
+}
+
+// cowRebuild is the copy-on-write rebuild the gapped array performs on
+// expand, contract and retrain: clone, rebuild the clone at the given
+// capacity, and leave the original — which a snapshot may still read —
+// untouched.
+func cowRebuild(t *testing.T, b *Base, capacity int) *Base {
+	t.Helper()
+	before := append([]Slot(nil), b.Slots...)
+	c := &Base{}
+	b.CloneInto(c)
+	c.RebuildModelBased(capacity)
+	for i := range before {
+		if b.Slots[i] != before[i] {
+			t.Fatalf("rebuilding the clone changed the original at slot %d", i)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("original after clone-and-rebuild: %v", err)
+	}
+	return c
+}
+
+// TestCloneIntoIsDeep pins the clone-on-write contract now that the
+// bitmap is held by value: writes to the clone — slots and occupancy —
+// never reach the original.
+func TestCloneIntoIsDeep(t *testing.T) {
+	b := buildBase(seq(40, 1), 64)
+	c := &Base{}
+	b.CloneInto(c)
+	if !c.Delete(5) || c.PlaceModelBased(5.5, 1) != Inserted || !c.Update(7, 99) {
+		t.Fatal("writes to the clone failed")
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("original after writing the clone: %v", err)
+	}
+	if v, ok := b.Lookup(5); !ok || v != 6 {
+		t.Fatalf("original Lookup(5) = %d,%v; want 6,true", v, ok)
+	}
+	if _, ok := b.Lookup(5.5); ok || b.Num() != 40 {
+		t.Fatal("insert into the clone reached the original")
+	}
+	if v, _ := b.Lookup(7); v != 8 {
+		t.Fatalf("update of the clone reached the original: %d", v)
 	}
 }

@@ -25,13 +25,14 @@ func (b *Base) Seal() { atomic.StoreUint32(&b.sealed, 1) }
 func (b *Base) Sealed() bool { return atomic.LoadUint32(&b.sealed) != 0 }
 
 // CloneInto deep-copies the node's storage into dst, which becomes an
-// unsealed, independently mutable replica: the key/payload arrays and
-// the occupancy bitmap are duplicated, the model, error bounds, and
-// work counters carry over by value. The receiver is left untouched.
+// unsealed, independently mutable replica: the slot array and the
+// occupancy bitmap's words are duplicated (the bitmap is held by value,
+// so the struct copy alone would share its words), the model, error
+// bounds, and work counters carry over by value. The receiver is left
+// untouched.
 func (b *Base) CloneInto(dst *Base) {
 	*dst = *b
-	dst.Keys = append([]float64(nil), b.Keys...)
-	dst.Payloads = append([]uint64(nil), b.Payloads...)
+	dst.Slots = append([]Slot(nil), b.Slots...)
 	dst.Occ = b.Occ.Clone()
 	//alexvet:ignore dst is a private replica no reader has seen yet; the plain store happens-before its publication
 	dst.sealed = 0

@@ -1,14 +1,16 @@
-// Package search implements the local search routines ALEX and the
-// Learned Index baseline use at the leaf level: exponential search from a
-// predicted position (ALEX, §3.2) and binary search within error bounds
-// (Kraska et al.). Both operate on sorted non-decreasing float64 slices
-// and return *lower-bound* positions, i.e. the first index whose key is
-// >= the target (len(a) if no such index exists).
+// Package search implements local search routines over sorted float64
+// slices: exponential search from a predicted position (ALEX, §3.2) and
+// binary search within error bounds (Kraska et al.). The Learned Index
+// baseline, the B+Tree baselines and the Fig 11 microbenchmark use them;
+// the ALEX data node runs its own branch-free copies over its {key,
+// payload} slot array (internal/leafbase). All return *lower-bound*
+// positions, i.e. the first index whose key is >= the target (len(a) if
+// no such index exists).
 //
 // A NaN key has no ordered position; every routine returns 0 for it,
 // matching sort.SearchFloat64s (whose predicate a[i] < NaN is false
 // everywhere). The whole-slice searches get this for free from the
-// comparison semantics; the positioned searches (Exponential*,
+// comparison semantics; the positioned searches (Exponential,
 // BoundedBinary*) guard explicitly, because their bracketing starts at
 // the caller's predicted position and would otherwise return it — a
 // divergence the batch paths' forced-progress guards used to paper
@@ -144,21 +146,13 @@ func BoundedBinary(a []float64, key float64, pos, errLo, errHi int) int {
 	return LowerBoundRange(a, key, lo, hi)
 }
 
-// LowerBoundBranchless is LowerBound with a branch-free probe loop: the
-// interval update is a conditional add the compiler lowers to CMOV, so
-// the search pipeline never stalls on a mispredicted key comparison.
-// On the short, cache-resident windows the leaf probes search (a few
-// dozen slots around a model prediction), mispredictions are the
-// dominant cost of the classic loop, which is why the hot read path
-// uses this variant.
-func LowerBoundBranchless(a []float64, key float64) int {
-	return lowerBoundBranchless(a, key, 0, len(a))
-}
-
 // lowerBoundBranchless finds the first index in [lo, hi) with
 // a[i] >= key (hi if none) without data-dependent branches: each step
-// halves the window [base, base+n] with a conditional base advance.
-// Callers must pass 0 <= lo <= hi <= len(a).
+// halves the window [base, base+n] with a conditional base advance the
+// compiler lowers to CMOV, so the probe pipeline never stalls on a
+// mispredicted key comparison. Callers must pass 0 <= lo <= hi <= len(a).
+// (The ALEX data node runs its own copies of the branch-free searches
+// over its slot array; see internal/leafbase.)
 func lowerBoundBranchless(a []float64, key float64, lo, hi int) int {
 	n := hi - lo
 	if n <= 0 {
@@ -176,66 +170,6 @@ func lowerBoundBranchless(a []float64, key float64, lo, hi int) int {
 		base++
 	}
 	return base
-}
-
-// LowerBoundWindow returns the first index in [lo, hi) with a[i] >= key
-// (hi if none), by the branch-free halving loop; the window is clamped
-// to the slice and an empty window returns its (clamped) lo. A NaN key
-// returns the window's clamped lo (0 for a whole-slice window),
-// consistent with the package's NaN-first convention.
-//
-// It is the log-time sibling of LowerBoundLinear — same window
-// semantics, different probe structure — suited to windows too wide
-// for the linear count. The leaf probe paths use LowerBoundLinear
-// (their error-bound threshold keeps windows small); the equivalence
-// tests use this variant as the independent reference implementation.
-func LowerBoundWindow(a []float64, key float64, lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a) {
-		hi = len(a)
-	}
-	if lo >= hi {
-		if lo > len(a) {
-			return len(a)
-		}
-		return lo
-	}
-	return lowerBoundBranchless(a, key, lo, hi)
-}
-
-// LowerBoundLinear is LowerBoundWindow by branch-free linear count: the
-// result is lo plus the number of window elements below key. On a
-// sorted window those are exactly the elements left of the lower bound,
-// so the result is identical — but the compares are *independent* (the
-// compiler lowers the conditional increment to SETcc/CMOV), where the
-// binary search's probes form a serial dependency chain. For the small
-// windows a tight per-leaf error bound produces, the out-of-order core
-// runs the whole count at full width in fewer cycles than log2(window)
-// dependent loads. Same clamping and NaN-key behavior as
-// LowerBoundWindow (every compare against NaN is false, so a NaN key
-// returns the clamped lo).
-func LowerBoundLinear(a []float64, key float64, lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a) {
-		hi = len(a)
-	}
-	if lo >= hi {
-		if lo > len(a) {
-			return len(a)
-		}
-		return lo
-	}
-	n := lo
-	for _, v := range a[lo:hi] {
-		if v < key { // SETcc, not a branch: no misprediction possible
-			n++
-		}
-	}
-	return n
 }
 
 // BoundedBinaryBranchless is BoundedBinary over the branch-free probe
@@ -259,53 +193,6 @@ func BoundedBinaryBranchless(a []float64, key float64, pos, errLo, errHi int) in
 		return lo
 	}
 	return lowerBoundBranchless(a, key, lo, hi)
-}
-
-// ExponentialBranchless is Exponential with the bracketed window
-// resolved by the branch-free probe loop. The doubling phase keeps its
-// branches (they are the exit condition), but with a model prediction a
-// few slots off the bracket is found in one or two doublings and the
-// remaining work is all in the bracket search this variant removes the
-// mispredictions from.
-func ExponentialBranchless(a []float64, key float64, pos int) int {
-	n := len(a)
-	if n == 0 || math.IsNaN(key) {
-		return 0
-	}
-	if pos < 0 {
-		pos = 0
-	} else if pos >= n {
-		pos = n - 1
-	}
-	if a[pos] < key {
-		step := 1
-		lo, hi := pos+1, pos+1
-		for hi < n && a[hi] < key {
-			lo = hi + 1
-			step <<= 1
-			hi = pos + step
-			if hi >= n {
-				hi = n
-				break
-			}
-		}
-		if hi < n && a[hi] >= key {
-			hi++ // a[hi] may itself be the lower bound
-		}
-		return lowerBoundBranchless(a, key, lo, hi)
-	}
-	step := 1
-	lo, hi := pos, pos
-	for lo > 0 && a[lo] >= key {
-		hi = lo
-		step <<= 1
-		lo = pos - step
-		if lo < 0 {
-			lo = 0
-			break
-		}
-	}
-	return lowerBoundBranchless(a, key, lo, hi+1)
 }
 
 // Interpolation performs classic interpolation search for the lower bound

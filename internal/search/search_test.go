@@ -235,8 +235,8 @@ func BenchmarkBoundedBinaryError1024(b *testing.B) {
 	}
 }
 
-// The branchless variants must agree with their branching counterparts
-// on every input: random windows, duplicate runs, and both empty and
+// The branchless variant must agree with its branching counterpart on
+// every input: random windows, duplicate runs, and both empty and
 // degenerate slices.
 func TestBranchlessVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -255,13 +255,7 @@ func TestBranchlessVariantsMatch(t *testing.T) {
 			if rng.Intn(3) == 0 && n > 0 {
 				key = a[rng.Intn(n)] // exact hits
 			}
-			if got, want := LowerBoundBranchless(a, key), LowerBound(a, key); got != want {
-				t.Fatalf("LowerBoundBranchless(n=%d, %v) = %d, want %d", n, key, got, want)
-			}
 			pos := rng.Intn(150) - 20
-			if got, want := ExponentialBranchless(a, key, pos), Exponential(a, key, pos); got != want {
-				t.Fatalf("ExponentialBranchless(n=%d, %v, pos=%d) = %d, want %d", n, key, pos, got, want)
-			}
 			errLo, errHi := rng.Intn(40), rng.Intn(40)
 			got := BoundedBinaryBranchless(a, key, pos, errLo, errHi)
 			want := BoundedBinary(a, key, pos, errLo, errHi)
@@ -270,21 +264,6 @@ func TestBranchlessVariantsMatch(t *testing.T) {
 					n, key, pos, errLo, errHi, got, want)
 			}
 		}
-	}
-}
-
-func TestLowerBoundBranchlessQuick(t *testing.T) {
-	f := func(raw []float64, key float64) bool {
-		for i, v := range raw {
-			if v != v { // NaN would break the sort contract
-				raw[i] = 0
-			}
-		}
-		sort.Float64s(raw)
-		return LowerBoundBranchless(raw, key) == refLowerBound(raw, key)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -341,10 +320,6 @@ func TestErrBoundQuickSearchExtremes(t *testing.T) {
 			pos := int(c.PosSeed) % (len(a) + 7) // deliberately past the end too
 			if got := Exponential(a, key, pos); got != want {
 				t.Logf("Exponential(%v, %v, pos=%d) = %d, want %d", a, key, pos, got, want)
-				return false
-			}
-			if got := ExponentialBranchless(a, key, pos); got != want {
-				t.Logf("ExponentialBranchless(%v, %v, pos=%d) = %d, want %d", a, key, pos, got, want)
 				return false
 			}
 			// A window covering the whole slice must reproduce the exact
@@ -420,52 +395,12 @@ func TestSearchNaNElementsTerminate(t *testing.T) {
 		pos := rng.Intn(50) - 5
 		for name, got := range map[string]int{
 			"Exponential":             Exponential(a, key, pos),
-			"ExponentialBranchless":   ExponentialBranchless(a, key, pos),
 			"BoundedBinary":           BoundedBinary(a, key, pos, 8, 8),
 			"BoundedBinaryBranchless": BoundedBinaryBranchless(a, key, pos, 8, 8),
 			"LowerBound":              LowerBound(a, key),
-			"LowerBoundBranchless":    LowerBoundBranchless(a, key),
 		} {
 			if got < 0 || got > len(a) {
 				t.Fatalf("%s(n=%d, key=%v, pos=%d) = %d out of range", name, n, key, pos, got)
-			}
-		}
-	}
-}
-
-// The two window primitives must agree with each other and, for
-// windows covering the true position, with the whole-slice lower
-// bound — on duplicates, ±Inf decorations and empty/degenerate
-// windows alike.
-func TestLowerBoundWindowVariantsMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(100)
-		a := sortedRandom(n, int64(trial))
-		for i := 1; i < len(a); i++ {
-			if rng.Intn(4) == 0 {
-				a[i] = a[i-1]
-			}
-		}
-		sort.Float64s(a)
-		if n > 0 && rng.Intn(3) == 0 {
-			a[n-1] = math.Inf(1)
-		}
-		for probe := 0; probe < 100; probe++ {
-			key := rng.Float64()*1100 - 50
-			if rng.Intn(3) == 0 && n > 0 {
-				key = a[rng.Intn(n)]
-			}
-			lo := rng.Intn(120) - 10
-			hi := lo + rng.Intn(40) - 2 // empty and inverted windows too
-			w := LowerBoundWindow(a, key, lo, hi)
-			l := LowerBoundLinear(a, key, lo, hi)
-			if w != l {
-				t.Fatalf("LowerBoundWindow(n=%d, %v, [%d,%d)) = %d, LowerBoundLinear = %d",
-					n, key, lo, hi, w, l)
-			}
-			if got := LowerBoundWindow(a, key, 0, len(a)); got != refLowerBound(a, key) {
-				t.Fatalf("full window = %d, want %d", got, refLowerBound(a, key))
 			}
 		}
 	}

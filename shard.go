@@ -59,6 +59,13 @@ type ShardedIndex struct {
 	retrains     atomic.Uint64 // completed router retrains
 	lastdistSize atomic.Int64  // Len() at the last (re)partition
 
+	// carried sums the work counters (leafbase.Stats, Splits,
+	// CostRetrains) of the shard trees router retrains replaced: the
+	// new shards are bulk-loaded and count from zero, so Stats adds
+	// this. Guarded by gate: written with it write-held in
+	// retrainLocked, read under lockAllRead.
+	carried Stats
+
 	// lockOnly forces the locked read path; see SetOptimisticReads.
 	lockOnly atomic.Bool
 
@@ -964,11 +971,12 @@ func (s *ShardedIndex) MaxKey() (float64, bool) {
 // counts and error histograms sum; Height and MaxLeafErr are the
 // worst shard's), as a consistent cut — see lockAllRead. Totals like
 // Inserts and KeysTotal therefore always describe a state the index
-// actually passed through, even under cross-shard batches.
+// actually passed through, even under cross-shard batches. Work
+// counters include the work of shards that router retrains replaced.
 func (s *ShardedIndex) Stats() Stats {
 	t, unlock := s.lockAllRead()
 	defer unlock()
-	var agg Stats
+	agg := s.carried
 	for _, sh := range t.shards {
 		st := sh.idx.Stats()
 		agg.Merge(&st)
@@ -1242,6 +1250,10 @@ func (s *ShardedIndex) retrainLocked() {
 	s.tab.Store(s.hookTable(buildShardTable(len(t.shards), keys, vals, s.cfg)))
 	for _, sh := range t.shards {
 		sh.moved = true
+		st := sh.idx.Stats()
+		s.carried.Stats.Add(&st.Stats)
+		s.carried.Splits += st.Splits
+		s.carried.CostRetrains += st.CostRetrains
 	}
 	// The old table (and every tree in it) is now unreachable through
 	// the router; hand it to epoch-based reclamation so pinned snapshots

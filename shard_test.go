@@ -647,3 +647,14 @@ func TestShardedIteratorUnderWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestShardedStatsCountAcrossRebalance: a router retrain bulk-loads
+// fresh shard trees, and splits replace leaves inside each; the work
+// counters of everything replaced must still count.
+func TestShardedStatsCountAcrossRebalance(t *testing.T) {
+	s := alex.NewSharded(2, alex.WithSplitOnInsert(), alex.WithMaxKeysPerLeaf(256))
+	countWrites(t, s, 20000, s.Rebalance)
+	if s.Retrains() == 0 {
+		t.Fatal("no router retrain ran")
+	}
+}

@@ -3,6 +3,7 @@ package alex_test
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,4 +184,52 @@ func TestIndexSerializationFacade(t *testing.T) {
 	if _, err := alex.ReadFrom(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("junk accepted")
 	}
+}
+
+// statsCountedIndex is the write surface the stats-count tests drive;
+// both wrappers satisfy it.
+type statsCountedIndex interface {
+	Insert(key float64, payload uint64) bool
+	Delete(key float64) bool
+	Stats() alex.Stats
+}
+
+// countWrites runs n random point inserts and deletes (about one delete
+// per three inserts) against ix, calling mid once halfway, and checks
+// that Stats().Inserts and Stats().Deletes equal the calls that
+// succeeded: work counters must survive every leaf and shard the index
+// replaces on the way.
+func countWrites(t *testing.T, ix statsCountedIndex, n int, mid func()) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var ins, del uint64
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			mid()
+		}
+		k := float64(rng.Intn(4 * n))
+		if rng.Intn(4) == 0 {
+			if ix.Delete(k) {
+				del++
+			}
+		} else if ix.Insert(k, uint64(i)) {
+			ins++
+		}
+	}
+	st := ix.Stats()
+	if st.Inserts != ins || st.Deletes != del {
+		t.Fatalf("Stats() counts %d inserts and %d deletes; %d and %d succeeded (splits %d)",
+			st.Inserts, st.Deletes, ins, del, st.Splits)
+	}
+	if st.Splits == 0 {
+		t.Fatal("no leaf split: the test does not exercise leaf replacement")
+	}
+}
+
+// TestSyncStatsCountAcrossSplits: a split replaces a leaf with fresh
+// ones, and Rebuild replaces every leaf; the replaced leaves' counters
+// must still count.
+func TestSyncStatsCountAcrossSplits(t *testing.T) {
+	s := alex.NewSync(alex.WithSplitOnInsert(), alex.WithMaxKeysPerLeaf(256))
+	countWrites(t, s, 20000, s.Rebuild)
 }
