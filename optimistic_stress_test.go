@@ -16,7 +16,9 @@ package alex_test
 // make in-place writes move stable keys while readers probe them, half
 // of the writes and half of the point reads go to one hot window, and
 // writers also insert and delete keys between the grid keys, which
-// crowds the window's leaves into shifting inserts.
+// crowds the window's leaves into shifting inserts. Writers also update
+// stable keys in place, rewriting their slots' payloads (with the same
+// value) under the leaf's seqlock while readers hit them.
 //
 // On normal builds this exercises the real optimistic path (probes
 // racing mutations, revalidation discarding torn results). Under the
@@ -193,7 +195,13 @@ func runOptimisticStress(t *testing.T, idx stressSurface, extra func(stop *atomi
 					}
 					idx.Delete(between)
 				case 2:
+					// Rewrite a stable key's payload in place — and the
+					// gap fills left of it, which duplicate it — while
+					// readers probe it. The payload stays its key's, so
+					// the readers' exact check still holds.
 					idx.Update(k, stressPayload(k))
+					sk := keyAt(stableAt(i))
+					idx.Update(sk, stressPayload(sk))
 				case 3: // churn a small sorted run through the batch path
 					ks := make([]float64, 8)
 					ps := make([]uint64, 8)
