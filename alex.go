@@ -50,8 +50,8 @@
 // per-core shards behind a learned quantile router so reads and writes
 // to different regions run in parallel (write-heavy, multi-core). Both
 // publish structural changes with single atomic pointer stores and cut
-// consistent point-in-time views via Snapshot, whose retired structures
-// are reclaimed through epoch-based reclamation — see
+// consistent point-in-time views via Snapshot, which the garbage
+// collector reclaims with whatever only they still reference — see
 // docs/architecture.md for the layer map and docs/concurrency.md for
 // the full memory-model story. DurableIndex adds crash safety over
 // either: every acknowledged mutation is written ahead to a
@@ -305,7 +305,7 @@ func (ix *Index) LeafSizes() []int { return ix.t.LeafSizes() }
 // one node at a time; Rebuild re-plans globally, restoring
 // bulk-load-quality structure after the tree has drifted far from its
 // loaded shape (it is what recovery uses after replaying a large log
-// tail). The old structure is retired through the retire hook.
+// tail).
 func (ix *Index) Rebuild() { ix.t.RebuildCostOptimal() }
 
 // CheckInvariants verifies the structural invariants of the whole tree;

@@ -654,10 +654,9 @@ func BenchmarkExtConcurrent(b *testing.B) {
 	}
 }
 
-// --- Snapshot / checkpoint concurrency: since the epoch-snapshot work,
-// Stats, WriteTo, scans and the background checkpointer consume a
-// consistent point-in-time snapshot instead of holding the exclusive
-// gate for the operation's duration. These benchmarks record what that
+// --- Snapshot / checkpoint concurrency: Stats, WriteTo, scans and the
+// background checkpointer consume a consistent point-in-time snapshot
+// instead of holding the exclusive gate for the operation's duration. These benchmarks record what that
 // buys: write tail latency while a checkpoint loop runs concurrently
 // (vs the undisturbed baseline — the acceptance bar wants the p99
 // within ~2x), and Stats / snapshot-scan / snapshot-cut latency under
@@ -708,8 +707,8 @@ func BenchmarkSnapshotWriteP99Baseline(b *testing.B) {
 }
 
 // BenchmarkSnapshotWriteP99Checkpointing runs checkpoints back to back
-// while the writes are timed. Each checkpoint cuts an epoch-pinned
-// snapshot (a brief exclusive section) and serializes it to disk with
+// while the writes are timed. Each checkpoint cuts a snapshot (a brief
+// exclusive section) and serializes it to disk with
 // no index lock held, so write p99 should stay in the same range as the
 // baseline instead of absorbing whole-serialization stalls.
 func BenchmarkSnapshotWriteP99Checkpointing(b *testing.B) {
@@ -756,8 +755,9 @@ func BenchmarkSnapshotStatsUnderWriteStorm(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotCutUnderWriteStorm measures the full snapshot
-// life-cycle — cut, epoch pin, release — under the same storm.
+// BenchmarkSnapshotCutUnderWriteStorm measures the snapshot cut — one
+// sealing pass over every shard under the exclusive gate — under the
+// same storm.
 func BenchmarkSnapshotCutUnderWriteStorm(b *testing.B) {
 	benchUnderWriteStorm(b, func(idx *alex.ShardedIndex, _ int) {
 		idx.Snapshot().Close()

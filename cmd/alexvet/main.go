@@ -6,10 +6,10 @@
 //
 // Each analyzer mechanically enforces one contract from
 // docs/concurrency.md or docs/failure-model.md — the faultfs seam
-// (fsbypass), epoch pin pairing (epochpair), atomic structural
-// references (atomicfield), race/!race surface parity (optparity),
-// the durability error contract (errwrap), and the shard lock-order
-// rule (locknest) — plus an advisory struct-layout pass (fieldalign).
+// (fsbypass), atomic structural references (atomicfield), race/!race
+// surface parity (optparity), the durability error contract (errwrap),
+// and the shard lock-order rule (locknest) — plus an advisory
+// struct-layout pass (fieldalign).
 // See docs/static-analysis.md for the catalog and the
 // //alexvet:ignore suppression convention.
 //

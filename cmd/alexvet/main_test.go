@@ -53,7 +53,7 @@ func TestAlexvetCleanPackageExitsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
 	}
-	out, code := run(t, "./internal/epoch")
+	out, code := run(t, "./internal/bitmapx")
 	if code != 0 {
 		t.Fatalf("clean package: exit %d, want 0\n%s", code, out)
 	}
@@ -72,7 +72,7 @@ func TestAlexvetListCatalog(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d\n%s", code, out)
 	}
-	for _, name := range []string{"fsbypass", "epochpair", "atomicfield", "optparity", "errwrap", "locknest", "fieldalign"} {
+	for _, name := range []string{"fsbypass", "atomicfield", "optparity", "errwrap", "locknest", "fieldalign"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out)
 		}

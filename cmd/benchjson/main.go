@@ -78,7 +78,7 @@ type Doc struct {
 	// bounded-search share — and the recovery-rebuild open time from
 	// the RecoveryRebuild benchmark.
 	BulkLoad map[string]float64 `json:"bulk_load,omitempty"`
-	// Snapshot archives the epoch-snapshot concurrency numbers: insert
+	// Snapshot archives the snapshot concurrency numbers: insert
 	// p99 latency (µs) with a checkpoint loop running concurrently vs
 	// the undisturbed baseline and their ratio (the checkpoint cuts a
 	// snapshot and serializes outside the index locks, so the bar is

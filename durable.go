@@ -128,7 +128,7 @@ var (
 )
 
 // Snapshotter is the optional backend capability DurableIndex prefers
-// when writing checkpoints: cutting an epoch-pinned IndexSnapshot lets
+// when writing checkpoints: cutting an IndexSnapshot lets
 // the snapshot file be serialized outside the backend's exclusive gate,
 // so a checkpoint never stalls concurrent reads or writes for the
 // duration of the disk write. Both concurrency wrappers implement it.
@@ -735,7 +735,7 @@ func (d *DurableIndex) Flush() error {
 
 // Checkpoint synchronously serializes the index to a fresh snapshot and
 // truncates the WAL segments the snapshot covers. The snapshot file is
-// streamed from an epoch-pinned IndexSnapshot's sealed leaves as one
+// streamed from an IndexSnapshot's sealed leaves as one
 // sorted run (see IndexSnapshot.WriteTo), so it copies no contents and
 // builds no tree. Mutations continue concurrently (they land in the new
 // segment, which is replayed over the snapshot on recovery; replay is
@@ -810,9 +810,7 @@ func (d *DurableIndex) writeSnapshot() error {
 	if sn, ok := d.backend.(Snapshotter); ok {
 		// Cut a snapshot (brief exclusive section) and stream it without
 		// holding any index lock: writers proceed while the file is built.
-		snap := sn.Snapshot()
-		_, err = snap.WriteTo(bw)
-		snap.Close()
+		_, err = sn.Snapshot().WriteTo(bw)
 	} else {
 		_, err = d.backend.WriteTo(bw)
 	}

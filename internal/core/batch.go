@@ -291,8 +291,7 @@ func (t *Tree) Merge(keys []float64, payloads []uint64) int {
 
 // mergeIntoEmpty rebuilds the whole tree from a sorted batch — merging
 // into an empty index is a bulk load. The fresh root is published with
-// one atomic store, so concurrent readers cut over atomically; the old
-// (empty) structure is retired.
+// one atomic store, so concurrent readers cut over atomically.
 func (t *Tree) mergeIntoEmpty(keys []float64, payloads []uint64) int {
 	uk := make([]float64, 0, len(keys))
 	up := make([]uint64, 0, len(keys))
@@ -312,10 +311,8 @@ func (t *Tree) mergeIntoEmpty(keys []float64, payloads []uint64) int {
 	for l := t.head.Load(); l != nil; l = l.next.Load() {
 		t.replaced.Add(l.data().BaseStats())
 	}
-	old := t.root.Load()
 	t.head.Store(nt.head.Load())
 	t.root.Store(nt.root.Load())
 	t.count = nt.count
-	t.retireObj(old)
 	return nt.count
 }

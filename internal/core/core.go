@@ -257,18 +257,11 @@ func (s *Stats) BoundedShare() float64 {
 // Tree is an ALEX index from float64 keys to uint64 payloads. A Tree
 // must not be copied after first use (it holds atomic pointers).
 type Tree struct {
-	// Lock-free readers load root (and scans head); cfg and retire are
-	// fixed once the tree is shared. None of these is written per
-	// operation.
+	// Lock-free readers load root (and scans head); cfg is fixed once
+	// the tree is shared. None of these is written per operation.
 	root atomic.Pointer[node]
 	head atomic.Pointer[node] // leftmost leaf
 	cfg  Config
-
-	// retire, when set (SetRetireHook), receives every structure the
-	// writer unpublishes — replaced data arrays, superseded nodes — so
-	// the owner can run epoch-based reclamation over them. Called under
-	// the writer's exclusion.
-	retire func(any)
 
 	// The pad keeps the writer's per-operation counters below off every
 	// cache line the fields above share, so an insert on one core does
@@ -281,19 +274,6 @@ type Tree struct {
 	// took out of the chain: their replacements start counting at zero,
 	// so Stats adds this to the live leaves' counters.
 	replaced leafbase.Stats
-}
-
-// SetRetireHook installs the unpublish callback for epoch-based
-// reclamation. It must be set before the tree is shared and not changed
-// afterwards; a nil hook (the default) drops unpublished structures
-// straight to the garbage collector.
-func (t *Tree) SetRetireHook(f func(any)) { t.retire = f }
-
-// retireObj hands an unpublished structure to the reclamation hook.
-func (t *Tree) retireObj(x any) {
-	if t.retire != nil && x != nil {
-		t.retire(x)
-	}
 }
 
 // maxBuildDepth caps adaptive-RMI plan depth against degenerate data.
@@ -730,7 +710,6 @@ func (t *Tree) splitLeaf(leaf, parent *node) bool {
 		}
 	}
 	t.replaced.Add(leaf.data().BaseStats())
-	t.retireObj(leaf)
 	t.splits++
 	return true
 }

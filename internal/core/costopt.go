@@ -54,8 +54,8 @@ func (t *Tree) buildFromPlan(keys []float64, payloads []uint64, pl *costmodel.Pl
 // rather than by a plan. The replacement is built
 // completely off to the side and published with two atomic stores
 // (root, then head), so concurrent lock-free readers observe either
-// the old intact tree or the new one; the old root is retired for
-// epoch reclamation. Caller must hold the writer's exclusion.
+// the old intact tree or the new one. Caller must hold the writer's
+// exclusion.
 func (t *Tree) RebuildCostOptimal() {
 	keys := make([]float64, 0, t.count)
 	payloads := make([]uint64, 0, t.count)
@@ -63,7 +63,6 @@ func (t *Tree) RebuildCostOptimal() {
 		keys, payloads = l.data().Collect(keys, payloads)
 		t.replaced.Add(l.data().BaseStats())
 	}
-	oldRoot := t.root.Load()
 	var root *node
 	if len(keys) == 0 {
 		root = t.newLeaf(nil, nil)
@@ -73,5 +72,4 @@ func (t *Tree) RebuildCostOptimal() {
 	head, _ := linkChain(root)
 	t.root.Store(root)
 	t.head.Store(head)
-	t.retireObj(oldRoot)
 }

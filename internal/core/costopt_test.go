@@ -159,8 +159,8 @@ func TestCostOptimalSplitEquivalence(t *testing.T) {
 }
 
 // TestRebuildCostOptimal rebuilds a merge-grown tree through the
-// planner and checks contents, invariants, and that the old structure
-// is retired.
+// planner and checks contents, invariants, and that a new root is
+// published.
 func TestRebuildCostOptimal(t *testing.T) {
 	keys := fuzzDists[1].gen(30000, 3)
 	tr := BulkLoadSorted(keys[:1000], nil, Config{MaxKeysPerLeaf: 512})
@@ -172,8 +172,7 @@ func TestRebuildCostOptimal(t *testing.T) {
 		}
 		tr.Merge(keys[lo:hi], nil)
 	}
-	retired := 0
-	tr.SetRetireHook(func(any) { retired++ })
+	oldRoot := tr.root.Load()
 	before, _ := chainCollect(tr)
 	tr.RebuildCostOptimal()
 	if err := tr.CheckInvariants(); err != nil {
@@ -188,8 +187,8 @@ func TestRebuildCostOptimal(t *testing.T) {
 			t.Fatalf("rebuild changed key %d: %v -> %v", i, before[i], after[i])
 		}
 	}
-	if retired == 0 {
-		t.Fatal("rebuild retired nothing")
+	if tr.root.Load() == oldRoot {
+		t.Fatal("rebuild did not publish a new root")
 	}
 	// Rebuilding an empty tree must stay sane too.
 	empty := New(Config{})

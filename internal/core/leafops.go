@@ -10,14 +10,15 @@ import "repro/internal/gapped"
 //     the current one (freeze-on-snapshot, clone-on-first-write);
 //  2. run the array's COW variant, which mutates in place when the
 //     operation is value-only and otherwise builds a replacement;
-//  3. publish any replacement with a single atomic store and retire
-//     the superseded array for epoch-based reclamation.
+//  3. publish any replacement with a single atomic store and drop the
+//     superseded array.
 //
 // Lock-free readers that loaded the old array keep probing it — it is
 // never mutated again once unpublished (sealed case) or only ever
 // value-mutated (live case, discarded by seqlock validation) — so no
-// reader can fault, and pinned snapshots keep their sealed arrays
-// byte-stable forever.
+// reader can fault, and open snapshots keep their sealed arrays
+// byte-stable forever. The garbage collector frees a dropped array
+// once no reader or snapshot references it.
 
 // writable returns the leaf's array ready for mutation, cloning and
 // republishing it first when a snapshot sealed it.
@@ -28,23 +29,14 @@ func (t *Tree) writable(n *node) *gapped.Array {
 	}
 	c := g.CloneForWrite()
 	n.ga.Store(c)
-	t.retireObj(g)
 	return c
-}
-
-// publish replaces the leaf's array old with repl and retires old.
-// Callers test repl for nil first, so the common in-place case pays no
-// call.
-func (t *Tree) publish(n *node, old, repl *gapped.Array) {
-	n.ga.Store(repl)
-	t.retireObj(old)
 }
 
 func (t *Tree) leafInsert(n *node, key float64, payload uint64) bool {
 	g := t.writable(n)
 	repl, ok := g.InsertCOW(key, payload)
 	if repl != nil {
-		t.publish(n, g, repl)
+		n.ga.Store(repl)
 	}
 	return ok
 }
@@ -53,7 +45,7 @@ func (t *Tree) leafDelete(n *node, key float64) bool {
 	g := t.writable(n)
 	repl, ok := g.DeleteCOW(key)
 	if repl != nil {
-		t.publish(n, g, repl)
+		n.ga.Store(repl)
 	}
 	return ok
 }
@@ -66,15 +58,14 @@ func (t *Tree) leafUpdate(n *node, key float64, payload uint64) bool {
 }
 
 func (t *Tree) leafRetrain(n *node) {
-	g := n.ga.Load()
-	t.publish(n, g, g.RetrainCOW())
+	n.ga.Store(n.ga.Load().RetrainCOW())
 }
 
 func (t *Tree) leafInsertSortedBatch(n *node, keys []float64, payloads []uint64) int {
 	g := t.writable(n)
 	repl, added := g.InsertSortedBatchCOW(keys, payloads)
 	if repl != nil {
-		t.publish(n, g, repl)
+		n.ga.Store(repl)
 	}
 	return added
 }
@@ -83,14 +74,13 @@ func (t *Tree) leafDeleteSortedBatch(n *node, keys []float64) int {
 	g := t.writable(n)
 	repl, deleted := g.DeleteSortedBatchCOW(keys)
 	if repl != nil {
-		t.publish(n, g, repl)
+		n.ga.Store(repl)
 	}
 	return deleted
 }
 
 func (t *Tree) leafMergeSorted(n *node, keys []float64, payloads []uint64) int {
-	g := n.ga.Load()
-	repl, added := g.MergeSortedCOW(keys, payloads)
-	t.publish(n, g, repl)
+	repl, added := n.ga.Load().MergeSortedCOW(keys, payloads)
+	n.ga.Store(repl)
 	return added
 }

@@ -2,13 +2,13 @@ package leafbase
 
 import "sync/atomic"
 
-// This file implements the freeze half of the index's epoch-snapshot
+// This file implements the freeze half of the index's snapshot
 // protocol. A snapshot does not copy data nodes; it *seals* them: the
 // sealed flag promises that the arrays behind this Base will never be
 // mutated again. The writer honors the promise with copy-on-write — its
 // first mutation of a sealed node clones it (CloneInto) and republishes
 // the clone through the node's atomic array pointer, leaving the sealed
-// original frozen for every snapshot that pinned it. Snapshot creation
+// original frozen for every snapshot that sealed it. Snapshot creation
 // is therefore O(#leaves) flag stores, not O(n) copying, and the copy
 // cost is paid lazily, only for nodes that are actually written while a
 // snapshot is live.

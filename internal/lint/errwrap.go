@@ -154,6 +154,11 @@ func containsErrorEscape(stmt ast.Stmt, errSlots []int) bool {
 	return found
 }
 
+// within reports whether target lies inside node's source range.
+func within(node ast.Node, target ast.Node) bool {
+	return node.Pos() <= target.Pos() && target.End() <= node.End()
+}
+
 // errorResultSlots returns the result indices with error type for the
 // function enclosing node (via the innermost FuncDecl/FuncLit whose
 // range covers it).

@@ -2,9 +2,8 @@
 // cmd/alexvet. Each analyzer mechanically enforces one invariant that
 // the concurrency and failure-model documentation otherwise states
 // only as prose: every file operation in the durability stack goes
-// through the internal/faultfs seam (fsbypass), every epoch Pin has an
-// Unpin on all return paths (epochpair), structural-reference fields
-// are touched only through atomic operations (atomicfield), the
+// through the internal/faultfs seam (fsbypass), structural-reference
+// fields are touched only through atomic operations (atomicfield), the
 // race/!race build-tag file pairs declare identical surfaces
 // (optparity), durability errors are never swallowed and always keep
 // their errors.Is chain (errwrap), and no shard lock is acquired while
@@ -226,7 +225,6 @@ func applyIgnores(pkg *Package, diags []Diagnostic) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		FSBypass,
-		EpochPair,
 		AtomicField,
 		OptParity,
 		ErrWrap,

@@ -103,8 +103,7 @@ func runFixture(t *testing.T, a *lint.Analyzer, fixture string) {
 	}
 }
 
-func TestLintFSBypassFixture(t *testing.T)  { runFixture(t, lint.FSBypass, "fsbypass") }
-func TestLintEpochPairFixture(t *testing.T) { runFixture(t, lint.EpochPair, "epochpair") }
+func TestLintFSBypassFixture(t *testing.T) { runFixture(t, lint.FSBypass, "fsbypass") }
 func TestLintAtomicFieldFixture(t *testing.T) {
 	runFixture(t, lint.AtomicField, "atomicfield")
 }

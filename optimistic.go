@@ -22,9 +22,9 @@ package alex
 // Structure, by contrast, no longer races at all: every node reference
 // in internal/core is an atomic.Pointer, restructures (expand, retrain,
 // split, merge, redistribute) build their replacement off to the side
-// and publish it with a single atomic store, and retired structures are
-// held by the epoch manager until no snapshot pins them. A replaced
-// array is never written again, so its word stays even and a reader
+// and publish it with a single atomic store; the garbage collector frees
+// a replaced structure once no reader or snapshot references it. A
+// replaced array is never written again, so its word stays even and a reader
 // still probing it gets a stale answer that was current when it loaded
 // the array pointer — linearizable at that instant. A speculative
 // probe therefore always walks a tree that was fully constructed at

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 )
 
 // ShardedIndex partitions the key space across N independent Index
@@ -68,11 +67,6 @@ type ShardedIndex struct {
 
 	// lockOnly forces the locked read path; see SetOptimisticReads.
 	lockOnly atomic.Bool
-
-	// em tracks epoch-based reclamation across all shards: shard writers
-	// retire every structure they unpublish, Snapshot pins the epoch its
-	// view was cut in, and router retrains retire the superseded table.
-	em *epoch.Manager
 }
 
 // shard is one key-space partition: an Index plus its lock, seqlock
@@ -206,8 +200,8 @@ func NewSharded(shards int, opts ...Option) *ShardedIndex {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &ShardedIndex{cfg: buildConfig(opts), em: epoch.New()}
-	s.tab.Store(s.hookTable(buildShardTable(shards, nil, nil, s.cfg)))
+	s := &ShardedIndex{cfg: buildConfig(opts)}
+	s.tab.Store(buildShardTable(shards, nil, nil, s.cfg))
 	return s
 }
 
@@ -224,8 +218,8 @@ func LoadSharded(shards int, keys []float64, payloads []uint64, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedIndex{cfg: buildConfig(opts), em: epoch.New()}
-	s.tab.Store(s.hookTable(buildShardTable(shards, ks, ps, s.cfg)))
+	s := &ShardedIndex{cfg: buildConfig(opts)}
+	s.tab.Store(buildShardTable(shards, ks, ps, s.cfg))
 	s.lastdistSize.Store(int64(len(ks)))
 	return s, nil
 }
@@ -253,15 +247,6 @@ func buildShardTable(nsh int, keys []float64, payloads []uint64, cfg core.Config
 		}
 		t.shards[i] = &shard{idx: &Index{t: core.BulkLoadSorted(keys[prev:hi], sub, cfg)}}
 		prev = hi
-	}
-	return t
-}
-
-// hookTable wires every shard tree's retirement hook to the index's
-// epoch manager, before the table is published. Returns t for chaining.
-func (s *ShardedIndex) hookTable(t *shardTable) *shardTable {
-	for _, sh := range t.shards {
-		sh.idx.t.SetRetireHook(s.em.Retire)
 	}
 	return t
 }
@@ -1063,9 +1048,7 @@ func (s *ShardedIndex) Retrains() uint64 { return s.retrains.Load() }
 // sealing pass — and streams the sealed leaves of every shard in key
 // order, concurrently with writers.
 func (s *ShardedIndex) WriteTo(w io.Writer) (int64, error) {
-	snap := s.Snapshot()
-	defer snap.Close()
-	return snap.WriteTo(w)
+	return s.Snapshot().WriteTo(w)
 }
 
 // ReadFromSharded deserializes an index written by Index.WriteTo or
@@ -1081,8 +1064,8 @@ func ReadFromSharded(r io.Reader, shards int) (*ShardedIndex, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &ShardedIndex{cfg: cfg, em: epoch.New()}
-	s.tab.Store(s.hookTable(buildShardTable(shards, keys, vals, s.cfg)))
+	s := &ShardedIndex{cfg: cfg}
+	s.tab.Store(buildShardTable(shards, keys, vals, s.cfg))
 	s.lastdistSize.Store(int64(len(keys)))
 	return s, nil
 }
@@ -1091,22 +1074,15 @@ func ReadFromSharded(r io.Reader, shards int) (*ShardedIndex, error) {
 // The cut takes the exclusive gate and all shard read locks only for
 // the O(#leaves) sealing pass — no data is copied — after which the
 // returned snapshot reads lock-free forever while shard writers
-// proceed by cloning sealed nodes on first write. Close the snapshot
-// when done to release its epoch pin.
+// proceed by cloning sealed nodes on first write. The snapshot needs no
+// Close: dropping it lets the garbage collector free the leaves only it
+// still references.
 func (s *ShardedIndex) Snapshot() *IndexSnapshot {
-	t, unlock := s.lockAllRead()
-	parts := make([]*core.Snapshot, len(t.shards))
-	for i, sh := range t.shards {
-		parts[i] = sh.idx.t.SealLeaves()
-	}
-	e := s.em.Pin()
-	unlock()
-	return newIndexSnapshot(parts, s.cfg, func() { s.em.Unpin(e) })
+	return newIndexSnapshot(s.sealAll(), s.cfg)
 }
 
-// sealAll is Snapshot without the epoch pin, for short-lived internal
-// consumers (the snapshot iterator) that hold the sealed parts by
-// strong reference alone and have no Close point to unpin at.
+// sealAll seals every shard under the exclusive gate and returns the
+// per-shard snapshots in key order, for Snapshot and the iterator.
 func (s *ShardedIndex) sealAll() []*core.Snapshot {
 	t, unlock := s.lockAllRead()
 	defer unlock()
@@ -1115,12 +1091,6 @@ func (s *ShardedIndex) sealAll() []*core.Snapshot {
 		parts[i] = sh.idx.t.SealLeaves()
 	}
 	return parts
-}
-
-// EpochStats reports the index's epoch-based reclamation state.
-func (s *ShardedIndex) EpochStats() EpochStats {
-	cur, pins, retired, reclaimed := s.em.Stats()
-	return EpochStats{Epoch: cur, Pins: pins, Retired: retired, Reclaimed: reclaimed}
 }
 
 // collectAll gathers every element of the table in key order. The
@@ -1247,7 +1217,7 @@ func (s *ShardedIndex) retrainLocked() {
 		sh.mu.Lock()
 	}
 	keys, vals := collectAll(t)
-	s.tab.Store(s.hookTable(buildShardTable(len(t.shards), keys, vals, s.cfg)))
+	s.tab.Store(buildShardTable(len(t.shards), keys, vals, s.cfg))
 	for _, sh := range t.shards {
 		sh.moved = true
 		st := sh.idx.Stats()
@@ -1255,10 +1225,6 @@ func (s *ShardedIndex) retrainLocked() {
 		s.carried.Splits += st.Splits
 		s.carried.CostRetrains += st.CostRetrains
 	}
-	// The old table (and every tree in it) is now unreachable through
-	// the router; hand it to epoch-based reclamation so pinned snapshots
-	// keep it exactly as long as they need it.
-	s.em.Retire(t)
 	for _, sh := range t.shards {
 		sh.mu.Unlock()
 	}

@@ -11,31 +11,28 @@ import (
 // concurrent index (SyncIndex or ShardedIndex), cut by their Snapshot
 // methods. The cut itself is cheap — a brief exclusive section that
 // marks every data node frozen (an O(#leaves) pass of flag stores, no
-// copying) and pins the current reclamation epoch — and once it
-// returns, every read below runs with no locks and no coordination
-// with writers: the writer clones a frozen node before first mutating
-// it, so the snapshot's view never changes no matter how long it is
-// held. Copying cost is paid lazily and only for nodes that are
-// actually written after the cut.
+// copying) — and once it returns, every read below runs with no locks
+// and no coordination with writers: the writer clones a frozen node
+// before first mutating it, so the snapshot's view never changes no
+// matter how long it is held. Copying cost is paid lazily and only for
+// nodes that are actually written after the cut.
 //
-// Call Close when done: it releases the snapshot's epoch pin so the
-// index's reclamation bookkeeping can drop structures retired since the
-// cut. A snapshot left unclosed is safe (the garbage collector is the
-// ultimate reclaimer) but holds retired structures reachable through
-// the epoch manager until it is finalized.
+// A snapshot holds exactly the sealed leaves it was cut over. Those the
+// index has since replaced stay alive while the snapshot is referenced
+// and are freed by the garbage collector once it is dropped; nothing
+// else is retained on its behalf, so Close is optional.
 type IndexSnapshot struct {
 	// parts are the per-tree snapshots in ascending key order: one for a
 	// SyncIndex, one per shard for a ShardedIndex (shards own contiguous
 	// key ranges, so concatenating parts yields global key order).
-	parts   []*core.Snapshot
-	cfg     core.Config
-	count   int
-	stats   Stats
-	release func()
+	parts []*core.Snapshot
+	cfg   core.Config
+	count int
+	stats Stats
 }
 
-func newIndexSnapshot(parts []*core.Snapshot, cfg core.Config, release func()) *IndexSnapshot {
-	s := &IndexSnapshot{parts: parts, cfg: cfg, release: release}
+func newIndexSnapshot(parts []*core.Snapshot, cfg core.Config) *IndexSnapshot {
+	s := &IndexSnapshot{parts: parts, cfg: cfg}
 	for _, p := range parts {
 		s.count += p.Count
 		st := p.TreeStats
@@ -134,17 +131,11 @@ func (s *IndexSnapshot) WriteTo(w io.Writer) (int64, error) {
 	return e.Close()
 }
 
-// Close releases the snapshot's epoch pin. Idempotent; reads remain
-// valid after Close (the snapshot still references its sealed nodes),
-// but well-behaved callers Close as soon as they are done so retired
-// structures stop accumulating on the epoch manager's hold list.
-func (s *IndexSnapshot) Close() error {
-	if s.release != nil {
-		s.release()
-		s.release = nil
-	}
-	return nil
-}
+// Close does nothing and returns nil. A snapshot holds no lock and no
+// resource beyond its own memory, which the garbage collector frees
+// once the snapshot is dropped; reads remain valid after Close. It is
+// kept so callers written against io.Closer keep working.
+func (s *IndexSnapshot) Close() error { return nil }
 
 // Iter returns a cursor over the snapshot positioned before its first
 // element. Snapshot cursors need no Close of their own and stay valid
@@ -202,14 +193,3 @@ func (it *SnapshotIterator) Payload() uint64 { return it.val }
 
 // Valid reports whether the iterator currently points at an element.
 func (it *SnapshotIterator) Valid() bool { return it.ok }
-
-// EpochStats reports the state of an index's epoch-based reclamation:
-// the current epoch, how many snapshots are pinned, how many retired
-// structures the manager still holds for them, and how many it has
-// released to the garbage collector.
-type EpochStats struct {
-	Epoch     uint64
-	Pins      int
-	Retired   int
-	Reclaimed uint64
-}

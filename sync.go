@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 )
 
 // SyncIndex wraps Index with a readers-writer lock so concurrent readers
@@ -43,11 +42,6 @@ type SyncIndex struct {
 	idx *Index
 	// lockOnly forces the RLock path; see SetOptimisticReads.
 	lockOnly atomic.Bool
-	// em tracks epoch-based reclamation: structures the writer
-	// unpublishes (replaced arrays, superseded nodes) are retired here,
-	// and Snapshot pins the epoch its view was cut in. See
-	// docs/concurrency.md.
-	em *epoch.Manager
 
 	_  [64]byte
 	mu sync.RWMutex
@@ -80,14 +74,8 @@ func LoadSync(keys []float64, payloads []uint64, opts ...Option) (*SyncIndex, er
 	return newSyncFrom(idx), nil
 }
 
-// newSyncFrom wraps an existing Index, wiring its retirement hook to a
-// fresh epoch manager. Every SyncIndex construction path goes through
-// it so unpublished structures are always accounted.
-func newSyncFrom(idx *Index) *SyncIndex {
-	s := &SyncIndex{idx: idx, em: epoch.New()}
-	idx.t.SetRetireHook(s.em.Retire)
-	return s
-}
+// newSyncFrom wraps an existing Index.
+func newSyncFrom(idx *Index) *SyncIndex { return &SyncIndex{idx: idx} }
 
 // Get returns the payload stored for key.
 func (s *SyncIndex) Get(key float64) (uint64, bool) {
@@ -345,9 +333,8 @@ func (s *SyncIndex) DataSizeBytes() int {
 // Rebuild reconstructs the index from its current contents through the
 // cost-optimal planner (see Index.Rebuild) under the write lock.
 // Readers keep running: the optimistic paths detect the overlapping
-// sequence bump and retry, structures the rebuild unpublishes are
-// retired through the epoch manager, and the new tree is published
-// with the same atomic stores every split uses.
+// sequence bump and retry, and the new tree is published with the
+// same atomic stores every split uses.
 func (s *SyncIndex) Rebuild() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,14 +347,13 @@ func (s *SyncIndex) Rebuild() {
 // holds the write lock only for the O(#leaves) sealing pass — no data
 // is copied — after which the returned snapshot reads lock-free
 // forever, while writers proceed by cloning any sealed node before
-// first mutating it. Close the snapshot when done to release its epoch
-// pin.
+// first mutating it. The snapshot needs no Close: dropping it lets the
+// garbage collector free the leaves only it still references.
 func (s *SyncIndex) Snapshot() *IndexSnapshot {
 	s.mu.Lock()
 	parts := []*core.Snapshot{s.idx.t.SealLeaves()}
-	e := s.em.Pin()
 	s.mu.Unlock()
-	return newIndexSnapshot(parts, s.idx.t.Config(), func() { s.em.Unpin(e) })
+	return newIndexSnapshot(parts, s.idx.t.Config())
 }
 
 // WriteTo serializes a consistent snapshot of the index. It cuts a
@@ -377,15 +363,7 @@ func (s *SyncIndex) Snapshot() *IndexSnapshot {
 // Index.WriteTo), so a round trip restores a freshly planned index with
 // identical contents.
 func (s *SyncIndex) WriteTo(w io.Writer) (int64, error) {
-	snap := s.Snapshot()
-	defer snap.Close()
-	return snap.WriteTo(w)
-}
-
-// EpochStats reports the index's epoch-based reclamation state.
-func (s *SyncIndex) EpochStats() EpochStats {
-	cur, pins, retired, reclaimed := s.em.Stats()
-	return EpochStats{Epoch: cur, Pins: pins, Retired: retired, Reclaimed: reclaimed}
+	return s.Snapshot().WriteTo(w)
 }
 
 // CheckInvariants verifies the tree under the read lock.
