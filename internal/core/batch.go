@@ -311,6 +311,9 @@ func (t *Tree) mergeIntoEmpty(keys []float64, payloads []uint64) int {
 	for l := t.head.Load(); l != nil; l = l.next.Load() {
 		t.replaced.Add(l.data().BaseStats())
 	}
+	// The bulk-loaded leaves count from zero; every key they hold is
+	// new, since the tree was empty.
+	t.replaced.Inserts += uint64(nt.count)
 	t.head.Store(nt.head.Load())
 	t.root.Store(nt.root.Load())
 	t.count = nt.count

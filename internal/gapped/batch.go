@@ -57,6 +57,7 @@ func (a *Array) MergeSorted(keys []float64, payloads []uint64) int {
 	}
 	a.Base.BuildFromSorted(mk, mp, newCap)
 	a.Stats.Retrains++
+	a.Stats.Inserts += uint64(added)
 	return added
 }
 

@@ -121,6 +121,7 @@ func (a *Array) MergeSortedCOW(keys []float64, payloads []uint64) (repl *Array, 
 	}
 	r.Base.BuildFromSorted(mk, mp, newCap)
 	r.Stats.Retrains++
+	r.Stats.Inserts += uint64(added)
 	return r, added
 }
 
