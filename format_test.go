@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -19,9 +20,9 @@ import (
 //
 //	go test -run TestSnapshotFormatFixtures -update .
 //
-// to rewrite the fixtures this build can still produce (d, the current
-// format); a, b and c are version-1 bytes written by older builds, kept
-// to prove they still open.
+// to rewrite the fixtures this build can still produce (d, e and f, the
+// current format); a, b and c are version-1 bytes written by older
+// builds, kept to prove they still open.
 var updateFixtures = flag.Bool("update", false, "rewrite testdata/formats fixtures")
 
 const fixtureDir = "testdata/formats"
@@ -74,8 +75,10 @@ func loadFixture(t *testing.T, keys, edges []float64, opts ...Option) *Index {
 }
 
 // writableFixtures builds the fixtures this build writes on -update:
-// d_sorted_run is the current format's stream of a_gapped's contents.
-// The version-1 fixtures stay as frozen bytes: a_gapped (a default
+// d_sorted_run is the current format's stream of a_gapped's contents,
+// and e_empty and f_one_key are the smallest streams, each under
+// options that set header words away from their defaults. The
+// version-1 fixtures stay as frozen bytes: a_gapped (a default
 // tree), b_pma_split (a packed-memory-array tree grown by
 // split-on-insert, header layout word 1) and c_heuristic_fanout8 (a
 // fixed-fanout bulk load at inner fanout 8) were written by builds that
@@ -84,8 +87,17 @@ func writableFixtures(t *testing.T) map[string]*Index {
 	keys, edges := fixtureKeys()
 	return map[string]*Index{
 		"d_sorted_run": loadFixture(t, keys, edges, WithMaxKeysPerLeaf(64)),
+		"e_empty":      New(emptyFixtureOpts...),
+		"f_one_key":    loadFixture(t, oneKeyFixture, nil, oneKeyFixtureOpts...),
 	}
 }
+
+// The options and the key of the e_empty and f_one_key fixtures.
+var (
+	emptyFixtureOpts  = []Option{WithSplitOnInsert(), WithMaxKeysPerLeaf(128)}
+	oneKeyFixtureOpts = []Option{WithMaxKeysPerLeaf(64), WithDensity(0.6), WithPayloadBytes(16)}
+	oneKeyFixture     = []float64{-2.5}
+)
 
 // fixtureText renders an index's contents the way the .txt fixtures
 // store them.
@@ -179,15 +191,22 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 		}
 	}
 
+	defaultHeader := headerWords(t, New())
 	for _, tc := range []struct {
 		name   string
 		v1     bool
 		layout uint64
+		edges  bool // holds fixtureKeys' edge values
+		// reencodes names the fixture whose bytes re-encoding the
+		// decoded index must give; "" skips the check.
+		reencodes string
 	}{
-		{"a_gapped", true, 0},
-		{"b_pma_split", true, 1},
-		{"c_heuristic_fanout8", true, 0},
-		{"d_sorted_run", false, 0},
+		{"a_gapped", true, 0, true, "d_sorted_run"},
+		{"b_pma_split", true, 1, true, ""},
+		{"c_heuristic_fanout8", true, 0, true, ""},
+		{"d_sorted_run", false, 0, true, "d_sorted_run"},
+		{"e_empty", false, 0, false, "e_empty"},
+		{"f_one_key", false, 0, false, "f_one_key"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := filepath.Join(fixtureDir, tc.name)
@@ -202,7 +221,7 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 			if len(raw) > 16<<10 {
 				t.Fatalf("fixture is %d bytes, want <= 16 KiB", len(raw))
 			}
-			lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+			count := strings.Count(string(want), "\n")
 			if tc.v1 {
 				layout, inner, leaves, repeats := walkSnapshot(t, raw)
 				if layout != tc.layout || inner == 0 || leaves < 2 || repeats == 0 {
@@ -210,7 +229,10 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 						layout, inner, leaves, repeats, tc.layout)
 				}
 			} else {
-				checkSortedRun(t, raw, len(lines))
+				checkSortedRun(t, raw, count)
+				if !tc.edges && bytes.Equal(raw[8:8+7*8], defaultHeader) {
+					t.Fatal("every configuration header word has its default value")
+				}
 			}
 
 			ix, err := ReadFrom(bytes.NewReader(raw))
@@ -223,28 +245,29 @@ func TestSnapshotFormatFixtures(t *testing.T) {
 			if got := fixtureText(ix); got != string(want) {
 				t.Fatalf("decoded contents differ from %s.txt", base)
 			}
-			if ix.Len() != len(lines) {
-				t.Fatalf("Len %d, want %d", ix.Len(), len(lines))
+			if ix.Len() != count {
+				t.Fatalf("Len %d, want %d", ix.Len(), count)
 			}
 			for _, edge := range []string{"-0 ", "4.9406564584124654e-324 ", "1.7976931348623157e+308 ", "-1.7976931348623157e+308 "} {
-				if !strings.Contains(string(want), edge) {
+				if tc.edges && !strings.Contains(string(want), edge) {
 					t.Fatalf("fixture lacks edge key %q", edge)
 				}
 			}
 
-			// Re-encoding writes the current format: byte for byte d,
-			// from d itself and from a, which holds the same contents.
-			if tc.name == "a_gapped" || tc.name == "d_sorted_run" {
+			// Re-encoding writes the current format: byte for byte each
+			// version-2 fixture from itself, and d from a, which holds
+			// the same contents.
+			if tc.reencodes != "" {
 				var buf bytes.Buffer
 				if _, err := ix.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
-				d, err := os.ReadFile(filepath.Join(fixtureDir, "d_sorted_run.alex"))
+				d, err := os.ReadFile(filepath.Join(fixtureDir, tc.reencodes+".alex"))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(buf.Bytes(), d) {
-					t.Fatal("re-encoding the decoded fixture does not give d_sorted_run's bytes")
+					t.Fatalf("re-encoding the decoded fixture does not give %s's bytes", tc.reencodes)
 				}
 			}
 		})
@@ -314,6 +337,84 @@ func TestReopenPlansShape(t *testing.T) {
 			t.Fatalf("Len %d, want %d", back.Len(), len(keys))
 		}
 	})
+}
+
+// headerWords returns the seven configuration words of ix's version-2
+// header (the count word excluded).
+func headerWords(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[8 : 8+7*8]
+}
+
+// TestWriteToSameBytesAcrossBackends: SyncIndex and a 2-shard
+// ShardedIndex write the same pairs under the same options to the bytes
+// Index writes. The empty and one-key cases are the e_empty and
+// f_one_key fixtures.
+func TestWriteToSameBytesAcrossBackends(t *testing.T) {
+	many := make([]float64, 5000)
+	for i := range many {
+		many[i] = float64(i)*1.5 - 2000
+	}
+	for _, tc := range []struct {
+		name    string
+		keys    []float64
+		opts    []Option
+		fixture string
+	}{
+		{"empty", nil, emptyFixtureOpts, "e_empty"},
+		{"one key", oneKeyFixture, oneKeyFixtureOpts, "f_one_key"},
+		{"5000 keys", many, []Option{WithSplitOnInsert()}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := make([]uint64, len(tc.keys))
+			for i := range ps {
+				ps[i] = fixturePayload(i)
+			}
+			ix, err := Load(tc.keys, ps, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sy, err := LoadSync(tc.keys, ps, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := LoadSharded(2, tc.keys, ps, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := ix.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if tc.fixture != "" {
+				raw, err := os.ReadFile(filepath.Join(fixtureDir, tc.fixture+".alex"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want.Bytes(), raw) {
+					t.Fatalf("Index.WriteTo does not give %s's bytes", tc.fixture)
+				}
+			}
+			for _, b := range []struct {
+				name string
+				w    interface {
+					WriteTo(io.Writer) (int64, error)
+				}
+			}{{"SyncIndex", sy}, {"ShardedIndex", sh}} {
+				var got bytes.Buffer
+				if _, err := b.w.WriteTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("%s.WriteTo wrote %d bytes that differ from Index.WriteTo's %d", b.name, got.Len(), want.Len())
+				}
+			}
+		})
+	}
 }
 
 // collect gathers everything a Scan method visits.
