@@ -1,3 +1,6 @@
+// The weak package arrived in Go 1.24; go.mod still says go 1.23.
+//go:build go1.24
+
 package alex
 
 // Reclamation test: a leaf that only a dropped snapshot could reach

@@ -819,25 +819,14 @@ func (s *ShardedIndex) ScanRange(start, end float64, visit func(key float64, pay
 }
 
 // ShardedIterator is a cursor over a ShardedIndex in ascending key
-// order. Unlike Index.Iterator it is safe under concurrent mutation:
-// construction seals a point-in-time snapshot of every shard (an
-// O(#leaves) flag pass, no copying — writers clone sealed nodes on
-// first write), and the cursor serves from those sealed structures
-// with no further locking. Iteration is therefore *strongly*
+// order: the iterator of a snapshot cut at construction. Unlike
+// Index.Iterator it is safe under concurrent mutation — the cut seals
+// every shard (an O(#leaves) flag pass, no copying; writers clone
+// sealed nodes on first write), and the cursor serves from those sealed
+// structures with no further locking. Iteration is therefore *strongly*
 // consistent: the cursor observes exactly the elements present at
-// construction, never a later insert or delete. It used to stream
-// chunks under the shard locks with weakly consistent semantics; the
-// snapshot cut is both cheaper per element and a strictly stronger
-// contract.
-type ShardedIterator struct {
-	parts []*core.Snapshot
-	pi    int // current part index; -1 before the first part
-	cur   *core.SnapIterator
-	start float64
-	key   float64
-	val   uint64
-	ok    bool
-}
+// construction, never a later insert or delete.
+type ShardedIterator = SnapshotIterator
 
 // Iter returns a cursor positioned before the first element.
 func (s *ShardedIndex) Iter() *ShardedIterator { return s.IterFrom(math.Inf(-1)) }
@@ -845,41 +834,8 @@ func (s *ShardedIndex) Iter() *ShardedIterator { return s.IterFrom(math.Inf(-1))
 // IterFrom returns a cursor positioned before the first element whose
 // key is >= start.
 func (s *ShardedIndex) IterFrom(start float64) *ShardedIterator {
-	return &ShardedIterator{parts: s.sealAll(), pi: -1, start: start}
+	return s.Snapshot().IterFrom(start)
 }
-
-// Next advances to the next element, reporting whether one exists.
-func (it *ShardedIterator) Next() bool {
-	for {
-		if it.cur == nil {
-			it.pi++
-			if it.pi >= len(it.parts) {
-				it.ok = false
-				return false
-			}
-			// Parts own ascending disjoint key ranges; IterFrom skips any
-			// part entirely below the start key on its first Next.
-			it.cur = it.parts[it.pi].IterFrom(it.start)
-		}
-		if it.cur.Next() {
-			it.key, it.val = it.cur.Key(), it.cur.Payload()
-			it.ok = true
-			return true
-		}
-		it.cur = nil
-	}
-}
-
-// Key returns the current element's key; valid only after Next
-// returned true.
-func (it *ShardedIterator) Key() float64 { return it.key }
-
-// Payload returns the current element's payload; valid only after Next
-// returned true.
-func (it *ShardedIterator) Payload() uint64 { return it.val }
-
-// Valid reports whether the iterator currently points at an element.
-func (it *ShardedIterator) Valid() bool { return it.ok }
 
 // lockAllRead takes the gate exclusively and read-locks every shard of
 // the current table up front (in index order, the same order the
@@ -1078,19 +1034,13 @@ func ReadFromSharded(r io.Reader, shards int) (*ShardedIndex, error) {
 // Close: dropping it lets the garbage collector free the leaves only it
 // still references.
 func (s *ShardedIndex) Snapshot() *IndexSnapshot {
-	return newIndexSnapshot(s.sealAll(), s.cfg)
-}
-
-// sealAll seals every shard under the exclusive gate and returns the
-// per-shard snapshots in key order, for Snapshot and the iterator.
-func (s *ShardedIndex) sealAll() []*core.Snapshot {
 	t, unlock := s.lockAllRead()
-	defer unlock()
 	parts := make([]*core.Snapshot, len(t.shards))
 	for i, sh := range t.shards {
 		parts[i] = sh.idx.t.SealLeaves()
 	}
-	return parts
+	unlock()
+	return newIndexSnapshot(parts, s.cfg)
 }
 
 // collectAll gathers every element of the table in key order. The
