@@ -66,7 +66,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gapped"
-	"repro/internal/leafbase"
 )
 
 // Stats aggregates the index's work counters (shifts, expands, splits,
@@ -74,7 +73,7 @@ import (
 type Stats = core.Stats
 
 // NodeStats is the per-data-node counter block inside Stats.
-type NodeStats = leafbase.Stats
+type NodeStats = gapped.Stats
 
 // Option configures an Index at construction.
 type Option func(*core.Config)

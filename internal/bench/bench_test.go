@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/leafbase"
+	"repro/internal/gapped"
 	"repro/internal/workload"
 )
 
@@ -445,7 +445,7 @@ func TestExtErrorBounds(t *testing.T) {
 // error distribution, which benchjson folds into BENCH_ci.json's
 // error_bounds block.
 func BenchmarkGetBoundedVsExponential(b *testing.B) {
-	defer leafbase.SetBoundedSearch(true)
+	defer gapped.SetBoundedSearch(true)
 	keys := datasets.Generate(datasets.Longitudes, 1<<17, 7)
 	init, stream := keys[:1<<16], keys[1<<16:]
 	tr, err := core.BulkLoad(init, nil, core.Config{})
@@ -461,7 +461,7 @@ func BenchmarkGetBoundedVsExponential(b *testing.B) {
 		on   bool
 	}{{"Bounded", true}, {"Exponential", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			leafbase.SetBoundedSearch(mode.on)
+			gapped.SetBoundedSearch(mode.on)
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				v, _ := tr.Get(keys[i&mask])

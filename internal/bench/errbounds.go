@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/leafbase"
+	"repro/internal/gapped"
 	"repro/internal/stats"
 )
 
@@ -33,7 +33,7 @@ type ErrBoundsRow struct {
 // error histogram.
 func ExtErrorBounds(w io.Writer, o Options) []ErrBoundsRow {
 	o = o.withFloors()
-	defer leafbase.SetBoundedSearch(true)
+	defer gapped.SetBoundedSearch(true)
 	var out []ErrBoundsRow
 	t := stats.NewTable("dataset", "p50 err", "p99 err", "max err", "bounded share",
 		"cost retrains", "bounded ns/get", "exponential ns/get", "speedup")
@@ -95,7 +95,7 @@ func ExtErrorBounds(w io.Writer, o Options) []ErrBoundsRow {
 // timeGets measures ns per Get over a shuffled probe set with the
 // bounded fast path toggled.
 func timeGets(tr *core.Tree, keys []float64, probes int, bounded bool) float64 {
-	leafbase.SetBoundedSearch(bounded)
+	gapped.SetBoundedSearch(bounded)
 	rng := rand.New(rand.NewSource(77))
 	order := make([]float64, probes)
 	for i := range order {

@@ -4,7 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/leafbase"
+	"repro/internal/gapped"
 )
 
 // This file implements the tree half of the batch API. For writes the
@@ -113,7 +113,7 @@ func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		panic("core: GetBatchInto result slices must have len(keys)")
 	}
-	var leaves [lookupGroup]*leafbase.Base
+	var leaves [lookupGroup]*gapped.Array
 	for lo := 0; lo < len(keys); lo += lookupGroup {
 		ks := keys[lo:min(lo+lookupGroup, len(keys))]
 		vs, fs := vals[lo:lo+len(ks)], found[lo:lo+len(ks)]
@@ -124,7 +124,7 @@ func (t *Tree) GetBatchInto(keys []float64, vals []uint64, found []bool) {
 				continue // torn optimistic probe; see leafFor
 			}
 			if g := leaf.ga.Load(); g != nil {
-				leaves[i] = &g.Base
+				leaves[i] = g
 			}
 		}
 		for i, k := range ks {
@@ -309,7 +309,7 @@ func (t *Tree) mergeIntoEmpty(keys []float64, payloads []uint64) int {
 	}
 	nt := bulkLoadSorted(uk, up, t.cfg)
 	for l := t.head.Load(); l != nil; l = l.next.Load() {
-		t.replaced.Add(l.data().BaseStats())
+		t.replaced.Add(&l.data().Stats)
 	}
 	// The bulk-loaded leaves count from zero; every key they hold is
 	// new, since the tree was empty.

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/gapped"
-	"repro/internal/leafbase"
 	"repro/internal/linmodel"
 	"repro/internal/stats"
 )
@@ -176,9 +175,9 @@ func (n *node) child(i int) *node { return n.children[i].Load() }
 
 // Stats aggregates tree-level and data-node-level counters, plus the
 // distribution of per-leaf prediction-error bounds the §4 cost model
-// maintains (see leafbase.Base.ErrBound).
+// maintains (see gapped.Array.ErrBound).
 type Stats struct {
-	leafbase.Stats
+	gapped.Stats
 	Splits uint64
 	// CostRetrains counts leaf retrains (or splits) triggered by the
 	// error-bound cost model rather than by density or size bounds.
@@ -273,7 +272,7 @@ type Tree struct {
 	// replaced sums the work counters of the leaves a split or a rebuild
 	// took out of the chain: their replacements start counting at zero,
 	// so Stats adds this to the live leaves' counters.
-	replaced leafbase.Stats
+	replaced gapped.Stats
 }
 
 // maxBuildDepth caps adaptive-RMI plan depth against degenerate data.
@@ -570,7 +569,7 @@ func (t *Tree) Get(key float64) (uint64, bool) {
 
 // GetValidated is Get for a reader that holds no lock while a writer
 // may be working: it descends, loads the leaf's array once, and probes
-// it under the array's own seqlock word (leafbase.LookupValidated).
+// it under the array's own seqlock word (gapped.Array.LookupValidated).
 // valid is false when the probe overlapped an in-place write of that
 // array (or, on a torn descent, reached no leaf); v and ok are then
 // meaningless and the caller retries or takes its lock. Writes to other
@@ -616,7 +615,7 @@ func (t *Tree) Insert(key float64, payload uint64) bool {
 // costCheck applies the §4 cost-model feedback after inserts touched a
 // leaf: when the leaf's prediction-error bound reports that searches
 // have drifted well past the bounded-search budget (see
-// leafbase.RetrainAdvised, which also amortizes the O(n) correction
+// gapped.Array.RetrainAdvised, which also amortizes the O(n) correction
 // over the inserts since the last rebuild), the leaf is corrected —
 // split when splitting is enabled and the leaf is large enough that
 // partitioning it gives each child its own, better-fitting model,
@@ -709,7 +708,7 @@ func (t *Tree) splitLeaf(leaf, parent *node) bool {
 			}
 		}
 	}
-	t.replaced.Add(leaf.data().BaseStats())
+	t.replaced.Add(&leaf.data().Stats)
 	t.splits++
 	return true
 }
@@ -866,7 +865,7 @@ func (t *Tree) Stats() Stats {
 	for l := t.head.Load(); l != nil; l = l.next.Load() {
 		d := l.data()
 		s.NumLeaves++
-		s.Stats.Add(d.BaseStats())
+		s.Stats.Add(&d.Stats)
 		n := uint64(d.Num())
 		s.KeysTotal += n
 		if e := d.ErrorBound(); e >= 0 {
@@ -875,7 +874,7 @@ func (t *Tree) Stats() Stats {
 			if e > s.MaxLeafErr {
 				s.MaxLeafErr = e
 			}
-			if e <= leafbase.BoundedSearchMaxErr {
+			if e <= gapped.BoundedSearchMaxErr {
 				s.KeysBounded += n
 			}
 		}

@@ -61,7 +61,7 @@ func (t *Tree) RebuildCostOptimal() {
 	payloads := make([]uint64, 0, t.count)
 	for l := t.head.Load(); l != nil; l = l.next.Load() {
 		keys, payloads = l.data().Collect(keys, payloads)
-		t.replaced.Add(l.data().BaseStats())
+		t.replaced.Add(&l.data().Stats)
 	}
 	var root *node
 	if len(keys) == 0 {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/leafbase"
+	"repro/internal/gapped"
 )
 
 // driftKeys bulk-loads a uniform key set and returns a clumped insert
@@ -116,7 +116,7 @@ func TestErrBoundStatsDistribution(t *testing.T) {
 // misses, batch and point) with the bounded fast path on and off — the
 // two strategies must be observationally identical.
 func TestBoundedSearchAgreesWithExponential(t *testing.T) {
-	defer leafbase.SetBoundedSearch(true)
+	defer gapped.SetBoundedSearch(true)
 	load, stream := driftKeys(4096)
 	tr := BulkLoadSorted(load, nil, Config{})
 	for i, k := range stream[:4096] {
@@ -134,7 +134,7 @@ func TestBoundedSearchAgreesWithExponential(t *testing.T) {
 		ok bool
 	}
 	run := func(on bool) []res {
-		leafbase.SetBoundedSearch(on)
+		gapped.SetBoundedSearch(on)
 		out := make([]res, 0, len(queries)+len(queries))
 		for _, q := range queries {
 			v, ok := tr.Get(q)

@@ -28,7 +28,7 @@ package costmodel
 import (
 	"math"
 
-	"repro/internal/leafbase"
+	"repro/internal/gapped"
 	"repro/internal/linmodel"
 )
 
@@ -73,9 +73,9 @@ type Params struct {
 	// regions into needless tiny leaves. Default 0.1.
 	FanoutPenalty float64
 	// MinLeafKeys is the segment size at or below which the planner
-	// always emits a data node (cold nodes below leafbase.MinModelKeys
+	// always emits a data node (cold nodes below gapped.MinModelKeys
 	// binary-search anyway, so subdividing them buys nothing).
-	// Default leafbase.MinModelKeys.
+	// Default gapped.MinModelKeys.
 	MinLeafKeys int
 }
 
@@ -109,7 +109,7 @@ func (p Params) WithDefaults() Params {
 		p.FanoutPenalty = 0.1
 	}
 	if p.MinLeafKeys <= 0 {
-		p.MinLeafKeys = leafbase.MinModelKeys
+		p.MinLeafKeys = gapped.MinModelKeys
 	}
 	return p
 }
@@ -194,7 +194,7 @@ type SegStats struct {
 	// Count is the number of keys in the segment.
 	Count int
 	// MaxErr is the maximum rank-domain residual |floor(pred) - rank|;
-	// -1 for cold segments below leafbase.MinModelKeys, which hold no
+	// -1 for cold segments below gapped.MinModelKeys, which hold no
 	// model.
 	MaxErr int
 	// MeanErr is the mean rank-domain residual.
@@ -221,7 +221,7 @@ const statsMaxSamples = 256
 func (a *Accumulator) Stats(lo, hi int) SegStats {
 	n := hi - lo
 	st := SegStats{Count: n, MaxErr: -1}
-	if n < leafbase.MinModelKeys {
+	if n < gapped.MinModelKeys {
 		return st
 	}
 	stride := 1
@@ -265,7 +265,7 @@ func (p Params) LeafCost(st SegStats) float64 {
 	maxSlot := float64(st.MaxErr) / p.Density
 	meanSlot := st.MeanErr / p.Density
 	var search float64
-	if maxSlot <= float64(leafbase.BoundedSearchMaxErr) {
+	if maxSlot <= float64(gapped.BoundedSearchMaxErr) {
 		// Direct predict + one-sided window of independent compares.
 		search = p.IterCost + p.CompareCost*(meanSlot+1)
 	} else {

@@ -3,8 +3,6 @@ package gapped
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/leafbase"
 )
 
 // maxTrueErr re-predicts every stored key and returns the node's actual
@@ -27,15 +25,15 @@ func maxTrueErr(t *testing.T, a *Array) int {
 }
 
 // TestErrBoundUpperBoundProperty drives a gapped array through random
-// mutation sequences — inserts (gap claims and shift inserts), deletes
-// with contraction, sorted batch inserts, merges, retrains — and after
-// every single operation asserts by exhaustive re-prediction that the
-// stored bound is a true upper bound on every key's error (the ISSUE 5
-// error-bound maintenance property).
+// sequences of its copy-on-write writers — inserts (gap claims, shift
+// inserts and expansions), deletes with contraction, sorted batch
+// inserts (placed in place or merged), merges, batch deletes, retrains —
+// and after every single operation asserts by exhaustive re-prediction
+// that the stored bound is a true upper bound on every key's error.
 func TestErrBoundUpperBoundProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
-		a := New(Config{})
+		a := newLeaf(Config{})
 		check := func(op string) {
 			t.Helper()
 			if err := a.CheckInvariants(); err != nil {
@@ -44,7 +42,7 @@ func TestErrBoundUpperBoundProperty(t *testing.T) {
 			if !a.HasModel {
 				return
 			}
-			if worst := maxTrueErr(t, a); worst > a.ErrBound {
+			if worst := maxTrueErr(t, a.Array); worst > a.ErrBound {
 				t.Fatalf("seed %d after %s: true max error %d exceeds stored bound %d",
 					seed, op, worst, a.ErrBound)
 			}
@@ -57,11 +55,11 @@ func TestErrBoundUpperBoundProperty(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3:
-				a.Insert(key(), uint64(op))
-				check("Insert")
+				a.insert(key(), uint64(op))
+				check("InsertCOW")
 			case 4, 5:
-				a.Delete(key())
-				check("Delete")
+				a.del(key())
+				check("DeleteCOW")
 			case 6:
 				keys := make([]float64, 0, 16)
 				pays := make([]uint64, 0, 16)
@@ -70,8 +68,8 @@ func TestErrBoundUpperBoundProperty(t *testing.T) {
 					keys = append(keys, base+float64(i)/1000)
 					pays = append(pays, uint64(i))
 				}
-				a.InsertSortedBatch(keys, pays)
-				check("InsertSortedBatch")
+				a.adopt(a.InsertSortedBatchCOW(keys, pays))
+				check("InsertSortedBatchCOW")
 			case 7:
 				keys := make([]float64, 0, 32)
 				pays := make([]uint64, 0, 32)
@@ -80,37 +78,33 @@ func TestErrBoundUpperBoundProperty(t *testing.T) {
 					keys = append(keys, base+float64(i)/500)
 					pays = append(pays, uint64(i))
 				}
-				a.MergeSorted(keys, pays)
-				check("MergeSorted")
+				a.adopt(a.MergeSortedCOW(keys, pays))
+				check("MergeSortedCOW")
 			case 8:
 				keys := []float64{key(), key(), key()}
 				sortNonDecreasing(keys)
-				a.DeleteSortedBatch(keys)
-				check("DeleteSortedBatch")
+				a.adopt(a.DeleteSortedBatchCOW(keys))
+				check("DeleteSortedBatchCOW")
 			case 9:
-				a.Retrain()
+				a.Array = a.RetrainCOW()
 				if a.HasModel {
 					// A rebuild recomputes the bound exactly: it must equal
 					// the true maximum, not merely bound it.
-					if worst := maxTrueErr(t, a); worst != a.ErrBound {
-						t.Fatalf("seed %d after Retrain: bound %d != true max error %d",
+					if worst := maxTrueErr(t, a.Array); worst != a.ErrBound {
+						t.Fatalf("seed %d after RetrainCOW: bound %d != true max error %d",
 							seed, a.ErrBound, worst)
 					}
 				}
-				check("Retrain")
+				check("RetrainCOW")
 			}
 		}
-		if a.HasModel && a.ErrBound > costRetrainErrForTest {
+		if a.HasModel && a.ErrBound > costRetrainSlack {
 			// Not an invariant violation, just a sanity signal that the
 			// clumped workload exercised the high-error regime too.
 			t.Logf("seed %d: final bound %d (high-error regime reached)", seed, a.ErrBound)
 		}
 	}
 }
-
-// costRetrainErrForTest mirrors leafbase's drift threshold for the
-// regime log above.
-const costRetrainErrForTest = 4 * leafbase.BoundedSearchMaxErr
 
 func sortNonDecreasing(a []float64) {
 	for i := 1; i < len(a); i++ {

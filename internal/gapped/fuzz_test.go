@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzArrayOps drives a gapped array with byte-decoded operations and
-// cross-checks a map plus the full invariant set after every few ops.
+// FuzzArrayOps drives a gapped array through its copy-on-write writers
+// with byte-decoded operations and cross-checks a map plus the full
+// invariant set at the end.
 func FuzzArrayOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, 0.8)
 	f.Add([]byte{9, 9, 9, 9}, 0.5)
@@ -15,20 +16,20 @@ func FuzzArrayOps(f *testing.F) {
 		if math.IsNaN(density) {
 			density = 0.8
 		}
-		a := New(Config{Density: density})
+		a := newLeaf(Config{Density: density})
 		ref := make(map[float64]uint64)
 		for i := 0; i+1 < len(data); i += 2 {
 			k := float64(data[i+1])
 			switch data[i] % 3 {
 			case 0:
-				ins := a.Insert(k, uint64(i))
+				ins := a.insert(k, uint64(i))
 				if _, existed := ref[k]; existed == ins {
 					t.Fatalf("insert(%v) = %v, existed %v", k, ins, existed)
 				}
 				ref[k] = uint64(i)
 			case 1:
 				_, existed := ref[k]
-				if a.Delete(k) != existed {
+				if a.del(k) != existed {
 					t.Fatalf("delete(%v) disagreed", k)
 				}
 				delete(ref, k)

@@ -27,6 +27,37 @@ func buildSorted(n int, seed int64) ([]float64, []uint64) {
 	return keys, payloads
 }
 
+// leaf holds an array the way a tree leaf does: when a copy-on-write
+// writer builds a replacement, the replacement becomes the live array.
+type leaf struct{ *Array }
+
+func newLeaf(cfg Config) *leaf { return &leaf{New(cfg)} }
+
+// adopt installs the replacement a batch writer built, if any, and
+// passes its count through.
+func (l *leaf) adopt(repl *Array, n int) int {
+	if repl != nil {
+		l.Array = repl
+	}
+	return n
+}
+
+func (l *leaf) insert(key float64, payload uint64) bool {
+	repl, ok := l.InsertCOW(key, payload)
+	if repl != nil {
+		l.Array = repl
+	}
+	return ok
+}
+
+func (l *leaf) del(key float64) bool {
+	repl, ok := l.DeleteCOW(key)
+	if repl != nil {
+		l.Array = repl
+	}
+	return ok
+}
+
 func TestBulkLoadAndLookup(t *testing.T) {
 	keys, payloads := buildSorted(5000, 1)
 	a := NewFromSorted(keys, payloads, Config{})
@@ -51,12 +82,12 @@ func TestBulkLoadAndLookup(t *testing.T) {
 }
 
 // TestRetrainsCountRebuildsOnly: building a node is not a retrain;
-// each rebuild of an existing node's model — in place or copy-on-write
-// — counts exactly one.
+// each copy-on-write rebuild of an existing node's model — retrain,
+// merge, expansion, contraction — counts exactly one.
 func TestRetrainsCountRebuildsOnly(t *testing.T) {
 	keys, payloads := buildSorted(2000, 3)
-	a := NewFromSorted(keys, payloads, Config{})
-	retrains := func() uint64 { return a.BaseStats().Retrains }
+	l := &leaf{NewFromSorted(keys, payloads, Config{})}
+	retrains := func() uint64 { return l.Stats.Retrains }
 	if r := retrains(); r != 0 {
 		t.Fatalf("fresh node Retrains = %d, want 0", r)
 	}
@@ -64,11 +95,21 @@ func TestRetrainsCountRebuildsOnly(t *testing.T) {
 		name string
 		do   func()
 	}{
-		{"Retrain", a.Retrain},
-		{"Expand", a.Expand},
-		{"RetrainCOW", func() { a = a.RetrainCOW() }},
-		{"MergeSortedCOW", func() { a, _ = a.MergeSortedCOW([]float64{-1}, []uint64{1}) }},
-		{"MergeSorted", func() { a.MergeSorted([]float64{-2}, []uint64{2}) }},
+		{"RetrainCOW", func() { l.Array = l.RetrainCOW() }},
+		{"MergeSortedCOW", func() { l.adopt(l.MergeSortedCOW([]float64{-1}, []uint64{1})) }},
+		{"InsertSortedBatchCOW past the limit", func() {
+			l.adopt(l.InsertSortedBatchCOW(keys[:1500], payloads[:1500]))
+		}},
+		{"InsertCOW expansion", func() {
+			for k, c := -2.0, l.Cap(); l.Cap() == c; k-- {
+				l.insert(k, 1)
+			}
+		}},
+		{"DeleteCOW contraction", func() {
+			for i, c := 0, l.Cap(); l.Cap() == c; i++ {
+				l.del(keys[i])
+			}
+		}},
 	} {
 		before := retrains()
 		step.do()
@@ -88,13 +129,13 @@ func TestBulkLoadDensity(t *testing.T) {
 }
 
 func TestInsertIntoEmpty(t *testing.T) {
-	a := New(Config{})
+	a := newLeaf(Config{})
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	keys := []float64{5, 3, 9, 1, 7, 2, 8, 4, 6, 0}
 	for i, k := range keys {
-		if !a.Insert(k, uint64(i)) {
+		if !a.insert(k, uint64(i)) {
 			t.Fatalf("Insert(%v) returned false", k)
 		}
 		if err := a.CheckInvariants(); err != nil {
@@ -109,11 +150,11 @@ func TestInsertIntoEmpty(t *testing.T) {
 }
 
 func TestInsertDuplicateOverwrites(t *testing.T) {
-	a := New(Config{})
-	if !a.Insert(42, 1) {
+	a := newLeaf(Config{})
+	if !a.insert(42, 1) {
 		t.Fatal("first insert")
 	}
-	if a.Insert(42, 2) {
+	if a.insert(42, 2) {
 		t.Fatal("duplicate insert should return false")
 	}
 	if v, _ := a.Lookup(42); v != 2 {
@@ -133,16 +174,16 @@ func TestInsertNonFinitePanics(t *testing.T) {
 					t.Fatalf("Insert(%v) did not panic", k)
 				}
 			}()
-			a.Insert(k, 0)
+			a.InsertCOW(k, 0)
 		}()
 	}
 }
 
 func TestDensityLimitMaintained(t *testing.T) {
-	a := New(Config{Density: 0.75})
+	a := newLeaf(Config{Density: 0.75})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
-		a.Insert(rng.Float64()*1e9, uint64(i))
+		a.insert(rng.Float64()*1e9, uint64(i))
 		if d := a.Density(); a.Cap() > 8 && d > 0.75+1e-9 {
 			t.Fatalf("density %v exceeds limit after %d inserts", d, i+1)
 		}
@@ -157,10 +198,10 @@ func TestDensityLimitMaintained(t *testing.T) {
 
 func TestDeleteAndContract(t *testing.T) {
 	keys, payloads := buildSorted(8000, 4)
-	a := NewFromSorted(keys, payloads, Config{})
+	a := &leaf{NewFromSorted(keys, payloads, Config{})}
 	capBefore := a.Cap()
 	for _, k := range keys[:7600] {
-		if !a.Delete(k) {
+		if !a.del(k) {
 			t.Fatalf("Delete(%v) failed", k)
 		}
 	}
@@ -178,18 +219,18 @@ func TestDeleteAndContract(t *testing.T) {
 			t.Fatalf("surviving key %v lost after contraction", k)
 		}
 	}
-	if a.Delete(keys[0]) {
+	if a.del(keys[0]) {
 		t.Fatal("deleting absent key succeeded")
 	}
 }
 
 func TestDeleteAllThenReinsert(t *testing.T) {
-	a := New(Config{})
+	a := newLeaf(Config{})
 	for i := 0; i < 100; i++ {
-		a.Insert(float64(i), uint64(i))
+		a.insert(float64(i), uint64(i))
 	}
 	for i := 0; i < 100; i++ {
-		if !a.Delete(float64(i)) {
+		if !a.del(float64(i)) {
 			t.Fatalf("Delete(%d)", i)
 		}
 	}
@@ -200,7 +241,7 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		a.Insert(float64(i)+0.5, uint64(i))
+		a.insert(float64(i)+0.5, uint64(i))
 	}
 	if a.Num() != 50 {
 		t.Fatalf("Num = %d after reinsert", a.Num())
@@ -211,8 +252,8 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	a := New(Config{})
-	a.Insert(1, 10)
+	a := newLeaf(Config{})
+	a.insert(1, 10)
 	if !a.Update(1, 99) {
 		t.Fatal("Update existing failed")
 	}
@@ -294,21 +335,6 @@ func TestPredictionErrorAfterBulkLoad(t *testing.T) {
 	}
 }
 
-func TestFullyPackedRegions(t *testing.T) {
-	// Sequential appended keys on a left-packed array produce packed runs.
-	a := New(Config{})
-	for i := 0; i < 1000; i++ {
-		a.Insert(float64(i), uint64(i))
-	}
-	count, maxLen := a.FullyPackedRegions(4)
-	if count == 0 && maxLen < 4 {
-		t.Skip("no packed regions formed (acceptable; depends on model)")
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDensityForOverhead(t *testing.T) {
 	cases := []struct{ overhead, wantLo, wantHi float64 }{
 		{0.43, 0.75, 0.85},
@@ -341,13 +367,13 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 		Payload uint64
 	}
 	f := func(ops []op) bool {
-		a := New(Config{Density: 0.7})
+		a := newLeaf(Config{Density: 0.7})
 		ref := make(map[float64]uint64)
 		for _, o := range ops {
 			k := float64(o.Key % 512) // force collisions and re-inserts
 			switch o.Kind % 4 {
 			case 0:
-				ins := a.Insert(k, o.Payload)
+				ins := a.insert(k, o.Payload)
 				_, existed := ref[k]
 				if ins == existed {
 					t.Logf("insert mismatch at key %v: ins=%v existed=%v", k, ins, existed)
@@ -355,7 +381,7 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 				}
 				ref[k] = o.Payload
 			case 1:
-				del := a.Delete(k)
+				del := a.del(k)
 				_, existed := ref[k]
 				if del != existed {
 					return false
@@ -415,11 +441,11 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 // O(log n) w.h.p. claim of §3.3.1 — verified loosely as average shifts
 // per insert being far below n).
 func TestShiftsBoundedUnderUniformInserts(t *testing.T) {
-	a := New(Config{})
+	a := newLeaf(Config{})
 	rng := rand.New(rand.NewSource(9))
 	n := 50000
 	for i := 0; i < n; i++ {
-		a.Insert(rng.Float64(), uint64(i))
+		a.insert(rng.Float64(), uint64(i))
 	}
 	perInsert := float64(a.Stats.Shifts) / float64(n)
 	if perInsert > 50 {
@@ -429,10 +455,10 @@ func TestShiftsBoundedUnderUniformInserts(t *testing.T) {
 
 func BenchmarkInsertUniform(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
-	a := New(Config{})
+	a := newLeaf(Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Insert(rng.Float64()*1e12, uint64(i))
+		a.insert(rng.Float64()*1e12, uint64(i))
 	}
 }
 

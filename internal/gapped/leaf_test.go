@@ -1,4 +1,4 @@
-package leafbase
+package gapped
 
 import (
 	"math"
@@ -7,13 +7,16 @@ import (
 	"testing/quick"
 )
 
-func buildBase(keys []float64, capacity int) *Base {
-	b := &Base{}
+// buildAt lays keys out at an explicit capacity, numbering payloads
+// from 1. Its density limit is 1, so the tests of the placement
+// primitives can fill an array past any real limit.
+func buildAt(keys []float64, capacity int) *Array {
+	b := &Array{cfg: Config{Density: 1}}
 	payloads := make([]uint64, len(keys))
 	for i := range payloads {
 		payloads[i] = uint64(i) + 1
 	}
-	b.BuildFromSorted(keys, payloads, capacity)
+	b.build(keys, payloads, capacity)
 	return b
 }
 
@@ -25,9 +28,8 @@ func seq(n int, step float64) []float64 {
 	return out
 }
 
-func TestInitEmpty(t *testing.T) {
-	b := &Base{}
-	b.Init(10)
+func TestBuildEmpty(t *testing.T) {
+	b := buildAt(nil, 10)
 	if b.Cap() != 10 || b.Num() != 0 {
 		t.Fatalf("cap=%d num=%d", b.Cap(), b.Num())
 	}
@@ -53,17 +55,16 @@ func TestInitEmpty(t *testing.T) {
 	}
 }
 
-func TestInitMinCapacity(t *testing.T) {
-	b := &Base{}
-	b.Init(0)
+func TestBuildMinCapacity(t *testing.T) {
+	b := buildAt(nil, 0)
 	if b.Cap() < 1 {
 		t.Fatal("capacity floor")
 	}
 }
 
-func TestBuildFromSortedPlacesModelBased(t *testing.T) {
+func TestBuildPlacesModelBased(t *testing.T) {
 	keys := seq(1000, 2)
-	b := buildBase(keys, 2000)
+	b := buildAt(keys, 2000)
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestBuildFromSortedPlacesModelBased(t *testing.T) {
 
 func TestColdStartHasNoModel(t *testing.T) {
 	keys := seq(MinModelKeys-1, 1)
-	b := buildBase(keys, 64)
+	b := buildAt(keys, 64)
 	if b.HasModel {
 		t.Fatalf("%d-key node should be model-less (cold start)", len(keys))
 	}
@@ -104,10 +105,10 @@ func TestColdStartHasNoModel(t *testing.T) {
 
 func TestGapFillInvariantAfterDeletes(t *testing.T) {
 	keys := seq(100, 1)
-	b := buildBase(keys, 200)
+	b := buildAt(keys, 200)
 	// Delete a run in the middle; fills behind it must repair.
 	for i := 40; i < 60; i++ {
-		if !b.Delete(float64(i)) {
+		if !b.removeKey(float64(i)) {
 			t.Fatalf("Delete(%d)", i)
 		}
 	}
@@ -116,7 +117,7 @@ func TestGapFillInvariantAfterDeletes(t *testing.T) {
 	}
 	// Delete the maximum repeatedly; trailing fills become +Inf.
 	for i := 99; i >= 90; i-- {
-		if !b.Delete(float64(i)) {
+		if !b.removeKey(float64(i)) {
 			t.Fatalf("Delete(%d)", i)
 		}
 	}
@@ -129,9 +130,9 @@ func TestGapFillInvariantAfterDeletes(t *testing.T) {
 }
 
 func TestPlaceModelBasedDuplicate(t *testing.T) {
-	b := buildBase(seq(50, 1), 100)
-	if r := b.PlaceModelBased(25, 999); r != Duplicate {
-		t.Fatalf("result = %v, want Duplicate", r)
+	b := buildAt(seq(50, 1), 100)
+	if b.placeModelBased(25, 999) {
+		t.Fatal("a stored key was reported as added")
 	}
 	if v, _ := b.Lookup(25); v != 999 {
 		t.Fatalf("payload not overwritten: %d", v)
@@ -141,43 +142,45 @@ func TestPlaceModelBasedDuplicate(t *testing.T) {
 	}
 }
 
-func TestPlaceModelBasedNeedRoomWhenFull(t *testing.T) {
+// The writers' density policy always leaves a gap, so placing into a
+// full array is a bug the placement reports loudly.
+func TestPlaceModelBasedPanicsWhenFull(t *testing.T) {
 	keys := seq(10, 1)
-	b := buildBase(keys, 10) // zero gaps
-	if r := b.PlaceModelBased(3.5, 1); r != NeedRoom {
-		t.Fatalf("result = %v, want NeedRoom on full node", r)
-	}
+	b := buildAt(keys, 10) // zero gaps
+	defer func() {
+		if recover() == nil {
+			t.Fatal("placing into a full array did not panic")
+		}
+	}()
+	b.placeModelBased(3.5, 1)
 }
 
 func TestInsertBeyondMaxWithFullTail(t *testing.T) {
-	// Arrange a node whose last slot is occupied and insert a key larger
-	// than everything: the shift-left path must engage.
-	b := &Base{}
-	b.BuildFromSorted(seq(9, 1), make([]uint64, 9), 10)
-	// Force the last slot occupied: insert keys until the tail fills.
-	for i := 0; i < 40 && !b.Occ.Test(b.Cap()-1); i++ {
-		b.PlaceModelBased(100+float64(i), 1)
+	// A node whose last slot is occupied gets a key larger than
+	// everything: its lower bound is past the end, so the shift-left
+	// path must engage.
+	b := buildAt(nil, 8)
+	for i := 2; i < 8; i++ {
+		b.Slots[i] = Slot{float64(i), uint64(i)}
+		b.Occ.Set(i)
+		b.NumKeys++
 	}
-	if !b.Occ.Test(b.Cap()-1) || b.Num() >= b.Cap() {
-		t.Skip("could not arrange occupied tail with a free gap")
-	}
-	max, _ := b.MaxKey()
-	if r := b.PlaceModelBased(max+1, 7); r != Inserted {
-		t.Fatalf("result = %v", r)
+	b.repairAllFills()
+	if !b.placeModelBased(8, 7) {
+		t.Fatal("new key reported as stored")
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if k, _ := b.MaxKey(); k != max+1 {
-		t.Fatalf("MaxKey = %v, want %v", k, max+1)
+	if k, _ := b.MaxKey(); k != 8 || b.Slots[7] != (Slot{8, 7}) || b.Stats.Shifts != 6 {
+		t.Fatalf("MaxKey = %v, slot 7 = %+v, shifts = %d; want 8, {8 7}, 6", k, b.Slots[7], b.Stats.Shifts)
 	}
 }
 
 func TestShiftReachesNearestGap(t *testing.T) {
 	// A key whose insertion range lies inside a full run must shift the
 	// run toward the nearest gap, however far it is.
-	b := &Base{}
-	b.Init(16)
+	b := buildAt(nil, 16)
 	// Occupy slots 0..7 with keys 0..7 (a full "segment"), leave 8..15 free.
 	for i := 0; i < 8; i++ {
 		b.Slots[i] = Slot{float64(i), uint64(i)}
@@ -190,8 +193,8 @@ func TestShiftReachesNearestGap(t *testing.T) {
 	}
 	// Key 3.5's lower bound is slot 4, inside the full run [0, 8): keys
 	// 4..7 shift right into the gap at slot 8.
-	if r := b.PlaceModelBased(3.5, 9); r != Inserted {
-		t.Fatalf("result = %v, want Inserted", r)
+	if !b.placeModelBased(3.5, 9) {
+		t.Fatal("new key reported as stored")
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestShiftReachesNearestGap(t *testing.T) {
 }
 
 func TestScanFromStopsEarly(t *testing.T) {
-	b := buildBase(seq(100, 1), 200)
+	b := buildAt(seq(100, 1), 200)
 	count := 0
 	stopped := b.ScanFrom(10, func(k float64, v uint64) bool {
 		count++
@@ -218,7 +221,7 @@ func TestScanFromStopsEarly(t *testing.T) {
 }
 
 func TestCollectIntoProvidedSlices(t *testing.T) {
-	b := buildBase(seq(10, 1), 20)
+	b := buildAt(seq(10, 1), 20)
 	keys := make([]float64, 0, 16)
 	payloads := make([]uint64, 0, 16)
 	keys, payloads = b.Collect(keys, payloads)
@@ -243,7 +246,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestDataSizeBytes(t *testing.T) {
-	b := buildBase(seq(10, 1), 64)
+	b := buildAt(seq(10, 1), 64)
 	want8 := 64*8 + 64*8 + b.Occ.SizeBytes()
 	if got := b.DataSizeBytes(8); got != want8 {
 		t.Fatalf("DataSizeBytes(8) = %d, want %d", got, want8)
@@ -254,7 +257,7 @@ func TestDataSizeBytes(t *testing.T) {
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	b := buildBase(seq(20, 1), 40)
+	b := buildAt(seq(20, 1), 40)
 	// Corrupt a gap fill's key.
 	gap := b.Occ.NextClear(0)
 	b.Slots[gap].Key = -1
@@ -263,20 +266,20 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt only a gap fill's payload: a point read hitting the fill
 	// would return it, so the invariant must cover payloads too.
-	b1 := buildBase(seq(20, 1), 40)
+	b1 := buildAt(seq(20, 1), 40)
 	gap = b1.Occ.NextClear(0)
 	b1.Slots[gap].Payload++
 	if err := b1.CheckInvariants(); err == nil {
 		t.Fatal("stale fill payload not detected")
 	}
 	// A tail fill must be exactly {+Inf, 0}.
-	b3 := buildBase(seq(20, 1), 40)
+	b3 := buildAt(seq(20, 1), 40)
 	b3.Slots[len(b3.Slots)-1].Payload = 1
 	if err := b3.CheckInvariants(); err == nil {
 		t.Fatal("nonzero tail payload not detected")
 	}
 	// Corrupt the count.
-	b2 := buildBase(seq(20, 1), 40)
+	b2 := buildAt(seq(20, 1), 40)
 	b2.NumKeys++
 	if err := b2.CheckInvariants(); err == nil {
 		t.Fatal("count mismatch not detected")
@@ -284,7 +287,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 func TestUpdateAndAccessors(t *testing.T) {
-	b := buildBase(seq(50, 2), 100)
+	b := buildAt(seq(50, 2), 100)
 	if !b.Update(48, 777) {
 		t.Fatal("update existing")
 	}
@@ -295,11 +298,10 @@ func TestUpdateAndAccessors(t *testing.T) {
 		t.Fatal("update absent")
 	}
 	// Building a node is not a retrain; rebuilding an existing one is.
-	if b.BaseStats() == nil || b.BaseStats().Retrains != 0 {
-		t.Fatal("BaseStats: a fresh build counted a retrain")
+	if b.Stats.Retrains != 0 {
+		t.Fatal("a fresh build counted a retrain")
 	}
-	b.RebuildModelBased(b.Cap())
-	if r := b.BaseStats().Retrains; r != 1 {
+	if r := b.RetrainCOW().Stats.Retrains; r != 1 {
 		t.Fatalf("Retrains after one rebuild = %d, want 1", r)
 	}
 	if d := b.Density(); d != 0.5 {
@@ -329,27 +331,8 @@ func TestUpdateAndAccessors(t *testing.T) {
 	b.At(gap)
 }
 
-func TestRebuildModelBasedPreservesContents(t *testing.T) {
-	b := buildBase(seq(200, 3), 300)
-	b.Delete(30)
-	b.Delete(60)
-	b.RebuildModelBased(512)
-	if b.Cap() != 512 || b.Num() != 198 {
-		t.Fatalf("cap=%d num=%d", b.Cap(), b.Num())
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Lookup(30); ok {
-		t.Fatal("deleted key resurrected")
-	}
-	if _, ok := b.Lookup(33); !ok {
-		t.Fatal("key lost in rebuild")
-	}
-}
-
-// Property: BuildFromSorted round-trips any strictly increasing key set
-// at any capacity >= n.
+// Property: build round-trips any strictly increasing key set at any
+// capacity >= n.
 func TestQuickBuildRoundTrip(t *testing.T) {
 	f := func(raw []uint32, extraCap uint8) bool {
 		seen := make(map[float64]bool)
@@ -361,7 +344,7 @@ func TestQuickBuildRoundTrip(t *testing.T) {
 				keys = append(keys, k)
 			}
 		}
-		// BuildFromSorted requires sorted input.
+		// build requires sorted input.
 		for i := 1; i < len(keys); i++ {
 			if keys[i] < keys[i-1] {
 				// insertion sort the small slice
@@ -370,8 +353,7 @@ func TestQuickBuildRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		b := &Base{}
-		b.BuildFromSorted(keys, make([]uint64, len(keys)), len(keys)+int(extraCap))
+		b := buildAt(keys, len(keys)+int(extraCap))
 		if err := b.CheckInvariants(); err != nil {
 			t.Log(err)
 			return false
@@ -402,7 +384,7 @@ func TestQuickBuildRoundTrip(t *testing.T) {
 // delete, update) advances Ver by one odd-even pair, and an operation
 // that writes no slot (a miss, a full node) leaves it alone.
 func TestVerBracketsInPlaceWrites(t *testing.T) {
-	b := buildBase(seq(32, 2), 48)
+	b := buildAt(seq(32, 2), 48)
 	step := func(what string, want uint64, f func()) {
 		t.Helper()
 		before := b.Ver
@@ -411,25 +393,28 @@ func TestVerBracketsInPlaceWrites(t *testing.T) {
 			t.Fatalf("%s: Ver advanced by %d, want %d", what, got, want)
 		}
 	}
-	step("gap claim", 2, func() { b.PlaceModelBased(1, 1) })
-	step("duplicate", 2, func() { b.PlaceModelBased(1, 9) })
+	step("gap claim", 2, func() { b.placeModelBased(1, 1) })
+	step("duplicate", 2, func() { b.placeModelBased(1, 9) })
 	step("update", 2, func() { b.Update(4, 9) })
 	step("update miss", 0, func() { b.Update(5, 9) })
-	step("delete", 2, func() { b.Delete(4) })
-	step("delete miss", 0, func() { b.Delete(5) })
+	step("delete", 2, func() { b.removeKey(4) })
+	step("delete miss", 0, func() { b.removeKey(5) })
 	for k := 0.25; b.NumKeys < b.Cap(); k += 0.25 {
-		step("fill", 2, func() { b.PlaceModelBased(k, 1) })
+		step("fill", 2, func() { b.placeModelBased(k, 1) })
 	}
-	step("need room", 0, func() { b.PlaceModelBased(1000, 1) })
+	step("full", 0, func() {
+		defer func() { _ = recover() }()
+		b.placeModelBased(1000, 1)
+	})
 	if _, _, valid := b.LookupValidated(1); !valid {
 		t.Fatal("LookupValidated invalid with no writer")
 	}
 }
 
 // TestSlotFillPropertyRandomOps drives one node through seeded random
-// model-based inserts (new keys and duplicates), updates, deletes, and
-// copy-on-write expands and retrains, checking the invariants — the
-// whole-slot fill rule included — after every operation and every
+// copy-on-write inserts (new keys and duplicates, with the expansions
+// they trigger), updates, deletes and retrains, checking the invariants
+// — the whole-slot fill rule included — after every operation and every
 // stored payload against a reference map. Updates and duplicate inserts
 // write fresh payloads, so a write that skips the gap run left of its
 // element leaves a stale fill behind and fails here.
@@ -437,7 +422,8 @@ func TestSlotFillPropertyRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		keys := seq(64, 4)
-		b := buildBase(keys, 96)
+		b := buildAt(keys, 96)
+		b.cfg = Config{Density: DefaultDensity}
 		ref := make(map[float64]uint64, len(keys))
 		for i, k := range keys {
 			ref[k] = uint64(i) + 1
@@ -455,37 +441,27 @@ func TestSlotFillPropertyRandomOps(t *testing.T) {
 			v := rng.Uint64()
 			what := ""
 			switch r := rng.Intn(20); {
-			case r < 8:
-				what = "insert"
-				switch b.PlaceModelBased(k, v) {
-				case NeedRoom:
-					what = "expand+insert"
-					c := cowRebuild(t, b, b.Cap()*3/2+1)
-					if c.PlaceModelBased(k, v) == NeedRoom {
-						t.Fatalf("seed %d op %d: no room after expanding", seed, op)
-					}
-					b = c
-				case Duplicate:
-					if _, ok := ref[k]; !ok {
-						t.Fatalf("seed %d op %d: Duplicate for absent key %v", seed, op, k)
-					}
-				}
-				ref[k] = v
-			case r < 10:
+			case r < 2:
 				// A duplicate insert of a stored key, the case that must
 				// rewrite the fills left of the element.
-				what = "duplicate"
+				what = "duplicate "
 				for try := 0; try < 64; try++ {
 					if _, had := ref[k]; had {
 						break
 					}
 					k = key()
 				}
+				fallthrough
+			case r < 10:
+				what += "insert"
 				_, had := ref[k]
-				if got := b.PlaceModelBased(k, v); had && got != Duplicate {
-					t.Fatalf("seed %d op %d: stored key %v not reported Duplicate", seed, op, k)
-				} else if got == NeedRoom {
-					continue // absent key on a full node; the insert case expands
+				var added bool
+				b = cow(t, b, func() (repl *Array) {
+					repl, added = b.InsertCOW(k, v)
+					return repl
+				})
+				if added == had {
+					t.Fatalf("seed %d op %d: InsertCOW(%v) added = %v, key stored = %v", seed, op, k, added, had)
 				}
 				ref[k] = v
 			case r < 14:
@@ -500,13 +476,17 @@ func TestSlotFillPropertyRandomOps(t *testing.T) {
 			case r < 19:
 				what = "delete"
 				_, had := ref[k]
-				if got := b.Delete(k); got != had {
-					t.Fatalf("seed %d op %d: Delete(%v) = %v, want %v", seed, op, k, got, had)
+				repl, got := b.DeleteCOW(k)
+				if got != had {
+					t.Fatalf("seed %d op %d: DeleteCOW(%v) = %v, want %v", seed, op, k, got, had)
+				}
+				if repl != nil {
+					b = repl
 				}
 				delete(ref, k)
 			default:
 				what = "retrain"
-				b = cowRebuild(t, b, len(ref)*3/2+1)
+				b = cow(t, b, b.RetrainCOW)
 			}
 			if err := b.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d op %d (%s %v): %v", seed, op, what, k, err)
@@ -527,35 +507,41 @@ func TestSlotFillPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// cowRebuild is the copy-on-write rebuild the gapped array performs on
-// expand, contract and retrain: clone, rebuild the clone at the given
-// capacity, and leave the original — which a snapshot may still read —
-// untouched.
-func cowRebuild(t *testing.T, b *Base, capacity int) *Base {
+// cow runs a copy-on-write writer on b and returns the live array after
+// it. When the writer built a replacement, the original — which a
+// snapshot may still read — must be exactly as it was, and still valid.
+func cow(t *testing.T, b *Array, write func() *Array) *Array {
 	t.Helper()
 	before := append([]Slot(nil), b.Slots...)
-	c := &Base{}
-	b.CloneInto(c)
-	c.RebuildModelBased(capacity)
+	repl := write()
+	if repl == nil {
+		return b
+	}
+	if len(b.Slots) != len(before) {
+		t.Fatalf("building the replacement resized the original: %d -> %d slots", len(before), len(b.Slots))
+	}
 	for i := range before {
 		if b.Slots[i] != before[i] {
-			t.Fatalf("rebuilding the clone changed the original at slot %d", i)
+			t.Fatalf("building the replacement changed the original at slot %d", i)
 		}
 	}
 	if err := b.CheckInvariants(); err != nil {
-		t.Fatalf("original after clone-and-rebuild: %v", err)
+		t.Fatalf("original after building the replacement: %v", err)
 	}
-	return c
+	return repl
 }
 
-// TestCloneIntoIsDeep pins the clone-on-write contract now that the
-// bitmap is held by value: writes to the clone — slots and occupancy —
-// never reach the original.
-func TestCloneIntoIsDeep(t *testing.T) {
-	b := buildBase(seq(40, 1), 64)
-	c := &Base{}
-	b.CloneInto(c)
-	if !c.Delete(5) || c.PlaceModelBased(5.5, 1) != Inserted || !c.Update(7, 99) {
+// TestCloneForWriteIsDeep pins the clone-on-write contract now that
+// the bitmap is held by value: the clone of a sealed array is unsealed,
+// and writes to it — slots and occupancy — never reach the original.
+func TestCloneForWriteIsDeep(t *testing.T) {
+	b := buildAt(seq(40, 1), 64)
+	b.Seal()
+	c := b.CloneForWrite()
+	if !b.Sealed() || c.Sealed() {
+		t.Fatalf("sealed: original %v, clone %v; want true, false", b.Sealed(), c.Sealed())
+	}
+	if !c.removeKey(5) || !c.removeKey(20) || !c.placeModelBased(5.5, 1) || !c.Update(7, 99) {
 		t.Fatal("writes to the clone failed")
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -566,6 +552,9 @@ func TestCloneIntoIsDeep(t *testing.T) {
 	}
 	if _, ok := b.Lookup(5.5); ok || b.Num() != 40 {
 		t.Fatal("insert into the clone reached the original")
+	}
+	if v, ok := b.Lookup(20); !ok || v != 21 {
+		t.Fatalf("original Lookup(20) = %d,%v; want 21,true", v, ok)
 	}
 	if v, _ := b.Lookup(7); v != 8 {
 		t.Fatalf("update of the clone reached the original: %d", v)

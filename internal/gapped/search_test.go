@@ -1,4 +1,4 @@
-package leafbase
+package gapped
 
 import (
 	"math"

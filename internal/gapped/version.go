@@ -1,4 +1,4 @@
-package leafbase
+package gapped
 
 import "sync/atomic"
 
@@ -7,7 +7,7 @@ import "sync/atomic"
 //
 // Writers bump Ver to odd before they change any slot of the array in
 // place (a gap claim, a shift, a payload overwrite, a delete's fill
-// repair) and back to even afterwards; PlaceModelBased, Delete and
+// repair) and back to even afterwards; placeModelBased, removeKey and
 // Update do this themselves, so every in-place slot write is covered.
 // Work that builds a replacement array (expand, contract, retrain,
 // merge, split) never touches the old array's Ver: the old array is
@@ -29,10 +29,10 @@ const verSpin = 256
 
 // beginWrite makes Ver odd: slots of this array are about to change in
 // place.
-func (b *Base) beginWrite() { atomic.AddUint64(&b.Ver, 1) }
+func (a *Array) beginWrite() { atomic.AddUint64(&a.Ver, 1) }
 
 // endWrite makes Ver even again once the in-place write is complete.
-func (b *Base) endWrite() { atomic.AddUint64(&b.Ver, 1) }
+func (a *Array) endWrite() { atomic.AddUint64(&a.Ver, 1) }
 
 // LookupValidated is Lookup for a reader that holds no lock: it waits
 // (boundedly) for Ver to be even, probes, and re-reads Ver. valid is
@@ -40,14 +40,14 @@ func (b *Base) endWrite() { atomic.AddUint64(&b.Ver, 1) }
 // during the probe; v and ok are meaningless then. A valid result is
 // exactly what a locked Lookup would have returned at the moment Ver
 // was first read even.
-func (b *Base) LookupValidated(key float64) (v uint64, ok, valid bool) {
-	v1 := atomic.LoadUint64(&b.Ver)
+func (a *Array) LookupValidated(key float64) (v uint64, ok, valid bool) {
+	v1 := atomic.LoadUint64(&a.Ver)
 	for spin := 0; v1&1 != 0; spin++ {
 		if spin == verSpin {
 			return 0, false, false
 		}
-		v1 = atomic.LoadUint64(&b.Ver)
+		v1 = atomic.LoadUint64(&a.Ver)
 	}
-	v, ok = b.Lookup(key)
-	return v, ok, atomic.LoadUint64(&b.Ver) == v1
+	v, ok = a.Lookup(key)
+	return v, ok, atomic.LoadUint64(&a.Ver) == v1
 }

@@ -19,7 +19,7 @@ import (
 // Annotated plain-typed fields must be touched exclusively through
 // sync/atomic package functions taking the field's address, in every
 // package that reaches them — the annotation on an exported field
-// (leafbase.Base.Ver) binds the packages that import it too.
+// (gapped.Array.Ver) binds the packages that import it too.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc: "fields of sync/atomic type or annotated //alex:atomic may only be " +

@@ -21,7 +21,7 @@ var FieldAlign = &Analyzer{
 		"optimal permutation, with the suggested order",
 	Scopes: []Scope{
 		{Pkg: "internal/core"},
-		{Pkg: "internal/leafbase"},
+		{Pkg: "internal/gapped"},
 	},
 	Advisory: true,
 	Run:      runFieldAlign,

@@ -44,8 +44,8 @@ func escape(t *table) *uint32 {
 	return &t.word // want `escapes outside a sync/atomic call`
 }
 
-// array embeds an imported header, as gapped.Array embeds leafbase.Base:
-// the annotation travels with the field into this package.
+// array embeds an imported header with an annotated field: the
+// annotation travels with the field into this package.
 type array struct {
 	leaf.Base
 }

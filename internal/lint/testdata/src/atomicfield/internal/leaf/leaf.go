@@ -1,6 +1,6 @@
 // Package leaf declares an //alex:atomic field for the atomicfield
-// fixture to reach from another package, the way core and gapped reach
-// leafbase.Base.Ver.
+// fixture to reach from another package, the way core reaches
+// gapped.Array.Ver.
 package leaf
 
 // Base is the stand-in node header.

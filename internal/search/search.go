@@ -3,7 +3,7 @@
 // binary search within error bounds (Kraska et al.). The Learned Index
 // baseline, the B+Tree baselines and the Fig 11 microbenchmark use them;
 // the ALEX data node runs its own branch-free copies over its {key,
-// payload} slot array (internal/leafbase). All return *lower-bound*
+// payload} slot array (internal/gapped). All return *lower-bound*
 // positions, i.e. the first index whose key is >= the target (len(a) if
 // no such index exists).
 //
@@ -152,7 +152,7 @@ func BoundedBinary(a []float64, key float64, pos, errLo, errHi int) int {
 // compiler lowers to CMOV, so the probe pipeline never stalls on a
 // mispredicted key comparison. Callers must pass 0 <= lo <= hi <= len(a).
 // (The ALEX data node runs its own copies of the branch-free searches
-// over its slot array; see internal/leafbase.)
+// over its slot array; see internal/gapped.)
 func lowerBoundBranchless(a []float64, key float64, lo, hi int) int {
 	n := hi - lo
 	if n <= 0 {

@@ -7,7 +7,7 @@ package alex
 //
 // The protocol is a classic sequence lock at two granularities. A
 // point read (Get, Contains) validates against the sequence word of
-// the one data array it probes (leafbase.Base.Ver, read through
+// the one data array it probes (gapped.Array.Ver, read through
 // core.Tree.GetValidated): every in-place slot write makes that word
 // odd before it starts and even after it ends, and the reader waits
 // for an even word (a bounded spin), probes with plain loads, and

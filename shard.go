@@ -58,7 +58,7 @@ type ShardedIndex struct {
 	retrains     atomic.Uint64 // completed router retrains
 	lastdistSize atomic.Int64  // Len() at the last (re)partition
 
-	// carried sums the work counters (leafbase.Stats, Splits,
+	// carried sums the work counters (gapped.Stats, Splits,
 	// CostRetrains) of the shard trees router retrains replaced: the
 	// new shards are bulk-loaded and count from zero, so Stats adds
 	// this. Guarded by gate: written with it write-held in
@@ -319,7 +319,7 @@ func (s *ShardedIndex) Get(key float64) (uint64, bool) {
 // only if the router generation changed. Like SyncIndex.optimisticGet
 // it carries no recover frame — the point lookup path is panic-proof
 // by construction against torn reads (clamped and unsigned-guarded
-// indexing in leafbase), so a probe racing an in-place write returns a
+// indexing in gapped), so a probe racing an in-place write returns a
 // wrong result that the leaf's validation discards.
 func (s *ShardedIndex) optimisticGet(key float64) (v uint64, ok, valid bool) {
 	t := s.tab.Load()

@@ -101,7 +101,7 @@ func (s *SyncIndex) Get(key float64) (uint64, bool) {
 // probe. Instead the point lookup path is panic-proof by construction
 // against torn reads: every slot computed from potentially-inconsistent
 // node state is clamped or unsigned-guarded against the array it
-// actually indexes (see leafbase.predictFast and Lookup), so a
+// actually indexes (see gapped.Array.predictFast and Lookup), so a
 // probe racing an in-place write degrades to a wrong result that the
 // leaf's validation throws away. See optimistic.go for why the data
 // race itself is safe.
